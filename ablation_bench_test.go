@@ -178,10 +178,10 @@ func BenchmarkAblationCacheHits(b *testing.B) {
 		eng.Catalog.Register(d.Celeb)
 		eng.Library.MustRegister(IsFemaleTask())
 		q := `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`
-		if _, _, err := RunQuery(eng, q); err != nil {
+		if _, _, err := runQuery(eng, q); err != nil {
 			b.Fatal(err)
 		}
-		_, stats2, err := RunQuery(eng, q)
+		_, stats2, err := runQuery(eng, q)
 		if err != nil {
 			b.Fatal(err)
 		}

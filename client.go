@@ -1,12 +1,10 @@
 // The Client API: one configured handle for running crowd queries.
 //
-// Client replaces the loose RunQuery / RunQueryDurable / Resume
-// function family: construct it once over a marketplace with
-// functional options (engine knobs, a shared catalog and task
-// library, a write-ahead journal for durable runs, a dollar budget, a
-// shared cross-query answer store), then Run, RunStream, Resume,
-// Optimize, and Explain queries against it. The old functions remain
-// as thin wrappers for compatibility.
+// Client is the one way to run a query: construct it once over a
+// marketplace with functional options (engine knobs, a shared catalog
+// and task library, a write-ahead journal for durable runs, a dollar
+// budget, a shared cross-query answer store), then Run, RunStream,
+// Resume, Optimize, and Explain queries against it.
 package qurk
 
 import (
@@ -229,8 +227,10 @@ func (c *Client) SpentDollars() float64 {
 	return c.budget.SpentDollars()
 }
 
-// Run executes one query. With WithJournal the run is durable (see
-// RunQueryDurable); otherwise it is a plain cancellable run.
+// Run executes one query. With WithJournal the run is durable: it
+// records every marketplace interaction into a fresh journal (the path
+// must not exist yet) and seals it when done, so Resume can finish an
+// interrupted run. Otherwise it is a plain cancellable run.
 func (c *Client) Run(ctx context.Context, src string) (*Relation, *ExecStats, error) {
 	if c.journal != "" {
 		return runDurable(ctx, c.eng, src, c.journal)

@@ -17,29 +17,26 @@ import (
 // a journal.
 func BenchmarkWALOverhead(b *testing.B) {
 	d := NewCelebrities(CelebrityConfig{N: 60, Seed: 7})
-	build := func() *Engine {
-		eng := NewEngine(NewSimMarket(DefaultMarketConfig(7), d.Oracle()), Options{})
-		eng.Catalog.Register(d.Celeb)
-		eng.Library.MustRegister(IsFemaleTask())
-		return eng
+	build := func(journal string) *Client {
+		return journaledClient(NewSimMarket(DefaultMarketConfig(7), d.Oracle()), journal, Options{}, []*Relation{d.Celeb}, IsFemaleTask())
 	}
 	const query = `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`
 	dir := b.TempDir()
 
 	var plainNs, durableNs int64
+	ctx := context.Background()
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := RunQuery(build(), query); err != nil {
+			if _, _, err := build("").Run(ctx, query); err != nil {
 				b.Fatal(err)
 			}
 		}
 		plainNs = b.Elapsed().Nanoseconds() / int64(b.N)
 	})
 	b.Run("durable", func(b *testing.B) {
-		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
 			path := filepath.Join(dir, fmt.Sprintf("b%d-%d.qjl", b.N, i))
-			if _, _, err := RunQueryDurable(ctx, build(), query, path); err != nil {
+			if _, _, err := build(path).Run(ctx, query); err != nil {
 				b.Fatal(err)
 			}
 		}

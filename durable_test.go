@@ -36,12 +36,30 @@ func sortedCopy(s []string) []string {
 }
 
 // durableCase is one query under kill/resume test: newMarket builds a
-// fresh tracking simulator, newEngine an engine over any market.
+// fresh tracking simulator, newClient a client over any market that
+// journals to the given path ("" for a plain run).
 type durableCase struct {
 	col       string
 	query     string
 	newMarket func() *SimMarket
-	newEngine func(m Marketplace) *Engine
+	newClient func(m Marketplace, journal string) *Client
+}
+
+// journaledClient builds a client over m with options o that journals
+// to journal (when set) and registers tables and tasks on its engine.
+func journaledClient(m Marketplace, journal string, o Options, tables []*Relation, tasks ...Task) *Client {
+	opts := []ClientOption{WithOptions(o)}
+	if journal != "" {
+		opts = append(opts, WithJournal(journal))
+	}
+	c := NewClient(m, opts...)
+	for _, r := range tables {
+		c.Engine().Catalog.Register(r)
+	}
+	for _, td := range tasks {
+		c.Engine().Library.MustRegister(td)
+	}
+	return c
 }
 
 func filterCase() durableCase {
@@ -54,11 +72,8 @@ func filterCase() durableCase {
 		newMarket: func() *SimMarket {
 			return NewSimMarket(cfg, d.Oracle())
 		},
-		newEngine: func(m Marketplace) *Engine {
-			eng := NewEngine(m, Options{})
-			eng.Catalog.Register(d.Celeb)
-			eng.Library.MustRegister(IsFemaleTask())
-			return eng
+		newClient: func(m Marketplace, journal string) *Client {
+			return journaledClient(m, journal, Options{}, []*Relation{d.Celeb}, IsFemaleTask())
 		},
 	}
 }
@@ -77,13 +92,8 @@ ORDER BY c.name`,
 		newMarket: func() *SimMarket {
 			return NewSimMarket(cfg, d.Oracle())
 		},
-		newEngine: func(m Marketplace) *Engine {
-			eng := NewEngine(m, Options{})
-			eng.Catalog.Register(d.Celeb)
-			eng.Catalog.Register(d.Photos)
-			eng.Library.MustRegister(SamePersonTask())
-			eng.Library.MustRegister(GenderTask())
-			return eng
+		newClient: func(m Marketplace, journal string) *Client {
+			return journaledClient(m, journal, Options{}, []*Relation{d.Celeb, d.Photos}, SamePersonTask(), GenderTask())
 		},
 	}
 }
@@ -98,11 +108,8 @@ func sortCase() durableCase {
 		newMarket: func() *SimMarket {
 			return NewSimMarket(cfg, sq.Oracle())
 		},
-		newEngine: func(m Marketplace) *Engine {
-			eng := NewEngine(m, Options{})
-			eng.Catalog.Register(sq.Rel)
-			eng.Library.MustRegister(SquareSorterTask())
-			return eng
+		newClient: func(m Marketplace, journal string) *Client {
+			return journaledClient(m, journal, Options{}, []*Relation{sq.Rel}, SquareSorterTask())
 		},
 	}
 }
@@ -115,8 +122,7 @@ func sortCase() durableCase {
 func killResumeEquivalence(t *testing.T, c durableCase, stride int) {
 	ctx := context.Background()
 	base := c.newMarket()
-	wantOut, _, err := RunQueryDurable(ctx, c.newEngine(base), c.query,
-		filepath.Join(t.TempDir(), "base.qjl"))
+	wantOut, _, err := c.newClient(base, filepath.Join(t.TempDir(), "base.qjl")).Run(ctx, c.query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +134,7 @@ func killResumeEquivalence(t *testing.T, c durableCase, stride int) {
 
 	// A plain (non-durable) run must agree too: journaling is a pure
 	// wrapper, not a semantics change.
-	plainOut, _, err := RunQuery(c.newEngine(c.newMarket()), c.query)
+	plainOut, _, err := c.newClient(c.newMarket(), "").Run(ctx, c.query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +147,7 @@ func killResumeEquivalence(t *testing.T, c durableCase, stride int) {
 		m := c.newMarket()
 		m.InjectCrashAfter(k)
 		journal := filepath.Join(t.TempDir(), fmt.Sprintf("crash%d.qjl", k))
-		_, _, err := RunQueryDurable(ctx, c.newEngine(m), c.query, journal)
+		_, _, err := c.newClient(m, journal).Run(ctx, c.query)
 		if err == nil {
 			// Chunk lookahead can complete the run before admission k;
 			// nothing to resume at this point.
@@ -153,7 +159,7 @@ func killResumeEquivalence(t *testing.T, c durableCase, stride int) {
 		crashed++
 
 		m.InjectCrashAfter(-1)
-		out, _, err := Resume(ctx, c.newEngine(m), c.query, journal)
+		out, _, err := c.newClient(m, journal).Resume(ctx, c.query)
 		if err != nil {
 			t.Fatalf("crash point %d: resume failed: %v", k, err)
 		}
@@ -193,13 +199,13 @@ func TestResumeCompletedJournalReplaysWithoutPosting(t *testing.T) {
 	c := filterCase()
 	m := c.newMarket()
 	journal := filepath.Join(t.TempDir(), "run.qjl")
-	wantOut, _, err := RunQueryDurable(ctx, c.newEngine(m), c.query, journal)
+	wantOut, _, err := c.newClient(m, journal).Run(ctx, c.query)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	fresh := c.newMarket()
-	out, _, err := Resume(ctx, c.newEngine(fresh), c.query, journal)
+	out, _, err := c.newClient(fresh, journal).Resume(ctx, c.query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,17 +223,17 @@ func TestResumeRefusesMismatchedFingerprint(t *testing.T) {
 	ctx := context.Background()
 	c := filterCase()
 	journal := filepath.Join(t.TempDir(), "run.qjl")
-	if _, _, err := RunQueryDurable(ctx, c.newEngine(c.newMarket()), c.query, journal); err != nil {
+	if _, _, err := c.newClient(c.newMarket(), journal).Run(ctx, c.query); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := Resume(ctx, c.newEngine(c.newMarket()),
-		`SELECT c.img FROM celeb AS c WHERE isFemale(c.img)`, journal)
+	_, _, err := c.newClient(c.newMarket(), journal).Resume(ctx,
+		`SELECT c.img FROM celeb AS c WHERE isFemale(c.img)`)
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("resume with a different query = %v, want fingerprint refusal", err)
 	}
-	eng := c.newEngine(c.newMarket())
-	eng.Options.FilterBatch = 2
-	if _, _, err := Resume(ctx, eng, c.query, journal); err == nil {
+	cl := c.newClient(c.newMarket(), journal)
+	cl.Engine().Options.FilterBatch = 2
+	if _, _, err := cl.Resume(ctx, c.query); err == nil {
 		t.Error("resume with different options must be refused")
 	}
 }
@@ -238,14 +244,14 @@ func TestRunQueryDurableRefusesExistingJournal(t *testing.T) {
 	ctx := context.Background()
 	c := filterCase()
 	journal := filepath.Join(t.TempDir(), "run.qjl")
-	if _, _, err := RunQueryDurable(ctx, c.newEngine(c.newMarket()), c.query, journal); err != nil {
+	if _, _, err := c.newClient(c.newMarket(), journal).Run(ctx, c.query); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunQueryDurable(ctx, c.newEngine(c.newMarket()), c.query, journal); err == nil {
+	if _, _, err := c.newClient(c.newMarket(), journal).Run(ctx, c.query); err == nil {
 		t.Error("second durable run over the same journal path must fail")
 	}
-	if _, _, err := Resume(ctx, c.newEngine(c.newMarket()), c.query,
-		filepath.Join(t.TempDir(), "missing.qjl")); err == nil {
+	missing := filepath.Join(t.TempDir(), "missing.qjl")
+	if _, _, err := c.newClient(c.newMarket(), missing).Resume(ctx, c.query); err == nil {
 		t.Error("resume of a nonexistent journal must fail")
 	}
 }
@@ -259,19 +265,18 @@ func TestDurableMTurkResumeReattaches(t *testing.T) {
 	t0 := time.Date(2026, 1, 2, 9, 0, 0, 0, time.UTC)
 	const query = `SELECT c.name FROM celeb c WHERE isFemale(c.img)`
 
-	build := func(fcfg MTurkFakeConfig) (*Engine, *MTurkFakeServer, *MTurkFakeClock) {
+	build := func(fcfg MTurkFakeConfig, journal string) (*Client, *MTurkFakeServer, *MTurkFakeClock) {
 		clock := NewMTurkFakeClock(t0)
 		fcfg.Clock = clock
 		fcfg.SubmitDelay = 2 * time.Second
 		f := NewMTurkFakeServer(fcfg)
 		t.Cleanup(f.Close)
-		eng := mturkEngineOver(t, f, clock)
-		return eng, f, clock
+		return mturkClientOver(t, f, clock, journal), f, clock
 	}
 
 	// Baseline: clean endpoint, uninterrupted durable run.
-	baseEng, baseSrv, _ := build(MTurkFakeConfig{YesPct: 100})
-	wantOut, _, err := RunQueryDurable(ctx, baseEng, query, filepath.Join(t.TempDir(), "base.qjl"))
+	base, baseSrv, _ := build(MTurkFakeConfig{YesPct: 100}, filepath.Join(t.TempDir(), "base.qjl"))
+	wantOut, _, err := base.Run(ctx, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,19 +288,19 @@ func TestDurableMTurkResumeReattaches(t *testing.T) {
 
 	// Faulted endpoint: the first CreateHIT's whole retry budget is
 	// consumed by injected 500s, killing the durable run mid-pipeline.
-	eng, srv, clock := build(MTurkFakeConfig{
+	journal := filepath.Join(t.TempDir(), "crash.qjl")
+	cl, srv, clock := build(MTurkFakeConfig{
 		YesPct:    100,
 		FailFirst: map[string]int{"CreateHIT": 3},
-	})
-	journal := filepath.Join(t.TempDir(), "crash.qjl")
-	if _, _, err := RunQueryDurable(ctx, eng, query, journal); err == nil {
+	}, journal)
+	if _, _, err := cl.Run(ctx, query); err == nil {
 		t.Fatal("durable run survived faults that exhaust the retry budget")
 	}
 
-	// Resume with a fresh engine over the SAME endpoint and clock: the
+	// Resume with a fresh client over the SAME endpoint and clock: the
 	// faults are spent, the journaled intents re-post, and the token
 	// log converges on the baseline's.
-	out, _, err := Resume(ctx, mturkEngineOver(t, srv, clock), query, journal)
+	out, _, err := mturkClientOver(t, srv, clock, journal).Resume(ctx, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,9 +312,10 @@ func TestDurableMTurkResumeReattaches(t *testing.T) {
 	}
 }
 
-// mturkEngineOver builds an engine whose marketplace is a fresh MTurk
-// client pointed at an existing fake endpoint, sharing its clock.
-func mturkEngineOver(t *testing.T, f *MTurkFakeServer, clock *MTurkFakeClock) *Engine {
+// mturkClientOver builds a client, journaling to journal, whose
+// marketplace is a fresh MTurk client pointed at an existing fake
+// endpoint, sharing its clock.
+func mturkClientOver(t *testing.T, f *MTurkFakeServer, clock *MTurkFakeClock, journal string) *Client {
 	t.Helper()
 	c, err := NewMTurkClient(MTurkConfig{
 		Endpoint:           f.URL(),
@@ -323,8 +329,5 @@ func mturkEngineOver(t *testing.T, f *MTurkFakeServer, clock *MTurkFakeClock) *E
 		t.Fatal(err)
 	}
 	d := NewCelebrities(CelebrityConfig{N: 20, Seed: 3})
-	eng := NewEngine(c, Options{})
-	eng.Catalog.Register(d.Celeb)
-	eng.Library.MustRegister(IsFemaleTask())
-	return eng
+	return journaledClient(c, journal, Options{}, []*Relation{d.Celeb}, IsFemaleTask())
 }

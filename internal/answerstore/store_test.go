@@ -1,6 +1,7 @@
 package answerstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"qurk/internal/framelog"
 	"qurk/internal/hit"
 	"qurk/internal/relation"
 )
@@ -149,15 +151,14 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	s.Store(question("t", "b"), votes(5, true))
 	s.Close()
 
-	// Simulate a crash mid-append: chop the last record in half, then
-	// also try a corrupted CRC on the remaining tail.
+	// Simulate a crash mid-append: chop the last record in half. The
+	// torn-tail shapes themselves are covered in internal/framelog.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstLen := headerSize + int(binary.LittleEndian.Uint32(data[0:4]))
-	torn := data[:firstLen+headerSize+2]
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
+	firstLen := framelog.HeaderSize + int(binary.LittleEndian.Uint32(data[0:4]))
+	if err := os.WriteFile(path, data[:firstLen+framelog.HeaderSize+2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -182,20 +183,43 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	if s3.Len() != 2 {
 		t.Fatalf("want 2 entries after re-append, got %d", s3.Len())
 	}
+}
 
-	// CRC corruption ends replay at the same boundary.
-	data, _ = os.ReadFile(path)
-	data[firstLen+4] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s4, err := Open(path, Policy{})
+// TestOpensEarlierFormat: a store file written by an earlier build
+// (testdata/parent.qas) replays, and the same Store calls today write
+// the same bytes.
+func TestOpensEarlierFormat(t *testing.T) {
+	want, err := os.ReadFile("testdata/parent.qas")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s4.Close()
-	if s4.Len() != 1 {
-		t.Fatalf("want 1 entry after CRC corruption, got %d", s4.Len())
+	path := filepath.Join(t.TempDir(), "answers.log")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Lookup(question("isFemale", "img2")); !ok || len(got) != 2 || got[0].Answer.Bool {
+		t.Fatalf("img2 = %v ok=%v, want 2 no-votes", got, ok)
+	}
+	if st := s.Stats(); st.Loaded != 2 || st.Entries != 2 {
+		t.Fatalf("stats = %+v, want 2 loaded entries", st)
+	}
+	s.Close()
+
+	path = filepath.Join(t.TempDir(), "answers.log")
+	s, err = Open(path, Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.setClock(func() time.Time { return time.Unix(1700000000, 0).UTC() })
+	s.Store(question("isFemale", "img1"), votes(3, true))
+	s.Store(question("isFemale", "img2"), votes(2, false))
+	s.Close()
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+		t.Fatalf("store bytes changed:\ngot  %x\nwant %x", got, want)
 	}
 }
 

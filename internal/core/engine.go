@@ -411,7 +411,7 @@ type Engine struct {
 	Cache   *hit.Cache
 	Options Options
 	// Journal, when non-nil, receives breaker checkpoints during
-	// execution (durable runs; see internal/wal and qurk.RunQueryDurable).
+	// execution (durable runs; see internal/wal and qurk.WithJournal).
 	Journal JournalSink
 	// Answers, when non-nil, is the shared cross-query answer store: a
 	// question whose content already has servable votes is answered from

@@ -6,28 +6,22 @@
 // fixed constants (§2.6/§6 note the estimates are priors; PR 3
 // recorded the estimator being factor-of-two off past them).
 //
-// Persistence uses the same append-only CRC-framed record file as
-// internal/answerstore and internal/wal (8-byte header: little-endian
-// uint32 payload length + uint32 CRC-32/IEEE of the payload, then a
-// JSON payload), including torn-tail truncation on open, so a crash
-// mid-append loses at most the record being written. Each Observe call
-// appends one record; on open all records replay into per-(task, kind)
-// weighted running means. The store sits below the executor and must
-// not depend on the journal package, so the framing is re-implemented
-// here.
+// Persistence is an internal/framelog log of JSON records, with
+// torn-tail truncation on open, so a crash mid-append loses at most the
+// record being written. Each Observe call appends one record; on open
+// all records replay into per-(task, kind) weighted running means.
 package obstats
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"sort"
 	"sync"
 	"time"
+
+	"qurk/internal/framelog"
 )
 
 // Statistic kinds recorded by the executor and consumed by the
@@ -101,13 +95,10 @@ type Entry struct {
 type Store struct {
 	mu    sync.Mutex
 	cells map[string]*cell
-	file  *os.File
+	log   *framelog.Log // nil when memory-only
 	stats Stats
 	now   func() time.Time
 }
-
-// frame header: payload length + CRC-32/IEEE of the payload.
-const headerSize = 8
 
 // key builds the map key for one (task, kind) aggregate. Task names
 // never contain NUL, so the join is unambiguous.
@@ -125,67 +116,21 @@ func Open(path string) (*Store, error) {
 	if path == "" {
 		return s, nil
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("obstats: open %s: %w", path, err)
-	}
-	good, err := s.replay(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("obstats: truncate %s: %w", path, err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("obstats: seek %s: %w", path, err)
-	}
-	s.file = f
-	return s, nil
-}
-
-// replay reads frames from the start of f, folding each valid record
-// and returning the offset just past the last valid frame. Corruption —
-// a short header, an impossible length, a CRC mismatch, or undecodable
-// JSON — ends the replay at the preceding frame boundary (torn-tail
-// semantics, same as internal/wal).
-func (s *Store) replay(f *os.File) (int64, error) {
-	info, err := f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("obstats: stat: %w", err)
-	}
-	size := info.Size()
-	var off int64
-	hdr := make([]byte, headerSize)
-	for off+headerSize <= size {
-		if _, err := f.ReadAt(hdr, off); err != nil {
-			break
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		end := off + headerSize + int64(length)
-		if end > size {
-			break // torn payload
-		}
-		payload := make([]byte, length)
-		if _, err := f.ReadAt(payload, off+headerSize); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
+	log, err := framelog.Open(path, os.O_CREATE, func(payload []byte) error {
 		var rec record
 		if err := json.Unmarshal(payload, &rec); err != nil {
-			break
+			return framelog.ErrTorn
 		}
 		s.fold(rec.Task, rec.Kind, rec.Value, rec.Weight)
 		s.stats.Loaded++
-		off = end
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("obstats: open %s: %w", path, err)
 	}
+	s.log = log
 	s.stats.Entries = len(s.cells)
-	return off, nil
+	return s, nil
 }
 
 // fold merges one observation into its aggregate. Callers hold the
@@ -214,32 +159,23 @@ func (s *Store) Observe(task, kind string, value, weight float64) {
 	s.fold(task, kind, value, weight)
 	s.stats.Observed++
 	s.stats.Entries = len(s.cells)
-	if s.file == nil {
+	if s.log == nil {
 		return
 	}
 	s.append(record{Task: task, Kind: kind, Value: value, Weight: weight, At: s.now()})
 }
 
-// append frames and writes one record. Write errors are swallowed after
-// marking the file dead: the in-memory store keeps serving (losing
-// persistence is strictly better than failing queries mid-run).
+// append durably writes one record. On an append error the store falls
+// back to memory-only: it keeps serving (losing persistence is strictly
+// better than failing queries mid-run).
 func (s *Store) append(rec record) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return
 	}
-	buf := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[headerSize:], payload)
-	if _, err := s.file.Write(buf); err != nil {
-		s.file.Close()
-		s.file = nil
-		return
-	}
-	if err := s.file.Sync(); err != nil {
-		s.file.Close()
-		s.file = nil
+	if err := s.log.Append(payload); err != nil {
+		s.log.Close()
+		s.log = nil
 	}
 }
 
@@ -305,11 +241,11 @@ func (s *Store) Len() int {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.file == nil {
+	if s.log == nil {
 		return nil
 	}
-	err := s.file.Close()
-	s.file = nil
+	err := s.log.Close()
+	s.log = nil
 	return err
 }
 

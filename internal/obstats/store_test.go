@@ -1,6 +1,7 @@
 package obstats
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"os"
@@ -8,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"qurk/internal/framelog"
 )
 
 func TestObserveEstimateWeightedMean(t *testing.T) {
@@ -99,7 +102,7 @@ func TestTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := make([]byte, headerSize)
+	hdr := make([]byte, framelog.HeaderSize)
 	binary.LittleEndian.PutUint32(hdr[0:4], 9999)
 	f.Write(hdr)
 	f.Write([]byte("partial"))
@@ -140,7 +143,7 @@ func TestCorruptPayloadStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	firstLen := binary.LittleEndian.Uint32(data[0:4])
-	data[headerSize+int(firstLen)+headerSize] ^= 0xFF
+	data[framelog.HeaderSize+int(firstLen)+framelog.HeaderSize] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -154,6 +157,41 @@ func TestCorruptPayloadStopsReplay(t *testing.T) {
 	}
 	if _, _, ok := r.Estimate("b", KindSelectivity); ok {
 		t.Fatal("corrupt record was served")
+	}
+}
+
+// TestOpensEarlierFormat: a stats file written by an earlier build
+// (testdata/parent.qos) replays, and the same Observe calls today write
+// the same bytes.
+func TestOpensEarlierFormat(t *testing.T) {
+	want, err := os.ReadFile("testdata/parent.qos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "stats.qst")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, w, ok := r.Estimate("isFemale", KindSelectivity); !ok || v != 0.4 || w != 20 {
+		t.Fatalf("replayed estimate = (%v, %v, %v), want (0.4, 20, true)", v, w, ok)
+	}
+	r.Close()
+
+	path = filepath.Join(t.TempDir(), "stats.qst")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.setClock(func() time.Time { return time.Unix(1700000000, 0).UTC() })
+	s.Observe("isFemale", KindSelectivity, 0.4, 20)
+	s.Observe("squareSorter", KindGroupSize, 12, 1)
+	s.Close()
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+		t.Fatalf("stats bytes changed:\ngot  %x\nwant %x", got, want)
 	}
 }
 

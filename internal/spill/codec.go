@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
+	"qurk/internal/framelog"
 	"qurk/internal/relation"
 )
 
@@ -20,8 +20,7 @@ import (
 //	           uvarint len(name), name bytes
 //	frames   zero or more data frames
 //
-// Every frame — header included — is length-prefixed and checksummed
-// exactly like internal/wal's records:
+// Every frame — header included — is an internal/framelog frame:
 //
 //	[payloadLen uint32 LE][crc32(IEEE) uint32 LE][payload]
 //
@@ -73,7 +72,7 @@ type frameWriter struct {
 	ncols   int
 	pending []relation.Tuple
 	payload []byte // reused frame payload buffer
-	head    [8]byte
+	head    [framelog.HeaderSize]byte
 }
 
 // newFrameWriter writes the magic and schema header and returns a
@@ -99,8 +98,7 @@ func newFrameWriter(w io.Writer, schema *relation.Schema) (*frameWriter, error) 
 }
 
 func (fw *frameWriter) writeFrame(payload []byte) error {
-	binary.LittleEndian.PutUint32(fw.head[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(fw.head[4:8], crc32.ChecksumIEEE(payload))
+	fw.head = framelog.Header(payload)
 	if _, err := fw.w.Write(fw.head[:]); err != nil {
 		return err
 	}
@@ -230,32 +228,18 @@ func newFrameReader(r io.Reader, schema *relation.Schema) (*frameReader, error) 
 	return fr, nil
 }
 
-// readFrame reads one [len][crc][payload] frame into the reused buffer.
-// It returns (nil, nil) at a clean end of stream.
+// readFrame reads one frame into the reused buffer. It returns
+// (nil, nil) at a clean end of stream.
 func (fr *frameReader) readFrame() ([]byte, error) {
-	var head [8]byte
-	if _, err := io.ReadFull(fr.r, head[:]); err != nil {
-		if err == io.EOF {
-			return nil, nil
-		}
-		return nil, corruptf("torn frame header: %v", err)
+	p, err := framelog.ReadFrame(fr.r, fr.buf, maxFramePayload)
+	if err == io.EOF {
+		return nil, nil
 	}
-	plen := binary.LittleEndian.Uint32(head[0:4])
-	sum := binary.LittleEndian.Uint32(head[4:8])
-	if plen > maxFramePayload {
-		return nil, corruptf("frame payload %d exceeds bound", plen)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", errCorrupt, err)
 	}
-	if cap(fr.buf) < int(plen) {
-		fr.buf = make([]byte, plen)
-	}
-	fr.buf = fr.buf[:plen]
-	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
-		return nil, corruptf("torn frame payload: %v", err)
-	}
-	if crc32.ChecksumIEEE(fr.buf) != sum {
-		return nil, corruptf("frame CRC mismatch")
-	}
-	return fr.buf, nil
+	fr.buf = p
+	return p, nil
 }
 
 // decodeFrame parses one data frame into an arena of row tuples. The

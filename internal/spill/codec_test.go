@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 
 	"qurk/internal/relation"
@@ -165,5 +166,32 @@ func TestCodecOversizedStringsSplitFrames(t *testing.T) {
 		if !tuples[i].Equal(got[i]) {
 			t.Fatalf("row %d corrupted through frame split", i)
 		}
+	}
+}
+
+// TestCodecOpensEarlierFormat: a run written by an earlier build
+// (testdata/parent.qrun) decodes, and encoding the same rows today
+// gives the same bytes.
+func TestCodecOpensEarlierFormat(t *testing.T) {
+	want, err := os.ReadFile("testdata/parent.qrun")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := testSchema(t)
+	var tuples []relation.Tuple
+	for i := 0; i < frameRows+3; i++ {
+		tuples = append(tuples, testTuple(t, s, i))
+	}
+	got, err := decodeRun(s, want)
+	if err != nil || len(got) != len(tuples) {
+		t.Fatalf("decoded %d rows, %v; want %d", len(got), err, len(tuples))
+	}
+	for i := range tuples {
+		if !tuples[i].Equal(got[i]) {
+			t.Fatalf("row %d = %v, want %v", i, got[i], tuples[i])
+		}
+	}
+	if enc := encodeRun(t, s, tuples); !bytes.Equal(enc, want) {
+		t.Fatal("run bytes changed from the earlier format")
 	}
 }

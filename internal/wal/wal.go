@@ -1,7 +1,8 @@
 // Package wal is the durability layer for crowd queries: an
 // append-only, fsync-on-commit, length-prefixed record journal that the
 // engine writes at every marketplace boundary, plus the replay
-// machinery qurk.Resume uses to rebuild operator state after a crash.
+// machinery qurk.Client.Resume uses to rebuild operator state after a
+// crash.
 //
 // A crowd query spends real dollars per HIT and runs for hours; losing
 // in-flight state to a process crash must not re-pay for answers
@@ -13,27 +14,23 @@
 // UniqueRequestToken re-attach, the simulator by re-deriving the same
 // deterministic answers).
 //
-// Record framing (grown from internal/spill's run-file encoding, with
-// integrity added): a fixed 8-byte header — uint32 little-endian
-// payload length, then uint32 little-endian CRC-32 (IEEE) of the
-// payload — followed by the JSON payload. Every commit is fsynced
-// before the caller proceeds, so the journal never claims work that
-// was not durably recorded. A torn tail (partial header, short
-// payload, or CRC mismatch from a crash mid-write) is truncated on
-// Open, and recovery resumes from the last complete record.
+// Records are JSON payloads in internal/framelog frames. Every commit
+// is fsynced before the caller proceeds, so the journal never claims
+// work that was not durably recorded; after a failed write or fsync
+// every later commit fails too. A torn tail left by a crash mid-write
+// is truncated on Open, and recovery resumes from the last complete
+// record.
 package wal
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"sync"
 
 	"qurk/internal/crowd"
+	"qurk/internal/framelog"
 )
 
 // Record types, stored in each record's "t" field.
@@ -49,10 +46,6 @@ const (
 // SealComplete is the seal reason written when a durable run finishes
 // normally; any other reason marks an interrupted-but-clean shutdown.
 const SealComplete = "complete"
-
-// maxRecordBytes bounds a single record; a length prefix beyond it is
-// treated as tail corruption rather than an allocation request.
-const maxRecordBytes = 1 << 28 // 256 MiB
 
 // Meta identifies the query a journal belongs to. Resume refuses a
 // journal whose fingerprint does not match the query and engine
@@ -126,7 +119,7 @@ var ErrDiverged = errors.New("wal: resumed run diverged from journal")
 // concurrent use; every append is fsynced before it returns.
 type Journal struct {
 	mu   sync.Mutex
-	f    *os.File
+	log  *framelog.Log
 	path string
 	meta Meta
 
@@ -150,24 +143,17 @@ type Journal struct {
 // Create starts a fresh journal at path, failing if one already
 // exists, and durably writes the meta record.
 func Create(path string, meta Meta) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+	log, err := framelog.Open(path, os.O_CREATE|os.O_EXCL, nil)
 	if err != nil {
 		return nil, fmt.Errorf("wal: create: %w", err)
 	}
 	if meta.Version == 0 {
 		meta.Version = 1
 	}
-	j := &Journal{
-		f:       f,
-		path:    path,
-		meta:    meta,
-		results: map[uint64][]*crowd.RunResult{},
-		pending: map[uint64]int{},
-		cps:     map[string][]checkpoint{},
-		charges: map[uint64]int{},
-	}
+	j := newJournal(path, log)
+	j.meta = meta
 	if err := j.append(&record{T: recMeta, Meta: &meta}); err != nil {
-		f.Close()
+		log.Close()
 		os.Remove(path)
 		return nil, err
 	}
@@ -176,82 +162,43 @@ func Create(path string, meta Meta) (*Journal, error) {
 
 // Open reads an existing journal, truncates any torn tail record left
 // by a crash mid-write, loads the replay state, and positions the file
-// for appending new records.
+// for appending new records. A record that does not decode is read as
+// the torn tail; a first record that is not the meta record fails.
 func Open(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	j := newJournal(path, nil)
+	sawMeta := false
+	log, err := framelog.Open(path, 0, func(payload []byte) error {
+		var rec record
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return framelog.ErrTorn
+		}
+		if !sawMeta && rec.T != recMeta {
+			return fmt.Errorf("%s: first record is %q, not meta", path, rec.T)
+		}
+		sawMeta = true
+		j.apply(&rec)
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
-	j := &Journal{
-		f:       f,
+	if !sawMeta {
+		log.Close()
+		return nil, fmt.Errorf("wal: %s: no complete meta record", path)
+	}
+	j.log = log
+	return j, nil
+}
+
+func newJournal(path string, log *framelog.Log) *Journal {
+	return &Journal{
+		log:     log,
 		path:    path,
 		results: map[uint64][]*crowd.RunResult{},
 		pending: map[uint64]int{},
 		cps:     map[string][]checkpoint{},
 		charges: map[uint64]int{},
 	}
-	if err := j.load(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
-}
-
-// load scans every complete record, building replay state, and
-// truncates the file at the first torn or corrupt record.
-func (j *Journal) load() error {
-	var off int64
-	var hdr [8]byte
-	sawMeta := false
-	for {
-		_, err := io.ReadFull(j.f, hdr[:])
-		if err == io.EOF {
-			break
-		}
-		if err == io.ErrUnexpectedEOF {
-			// Torn header: crash mid-write. Recover to the last
-			// complete record.
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("wal: read: %w", err)
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > maxRecordBytes {
-			break // corrupt length — treat as torn tail
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(j.f, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				break // torn payload
-			}
-			return fmt.Errorf("wal: read: %w", err)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // corrupt payload
-		}
-		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			break // corrupt JSON despite CRC: treat as tail damage
-		}
-		if !sawMeta && rec.T != recMeta {
-			return fmt.Errorf("wal: %s: first record is %q, not meta", j.path, rec.T)
-		}
-		j.apply(&rec)
-		sawMeta = true
-		off += int64(8 + length)
-	}
-	if !sawMeta {
-		return fmt.Errorf("wal: %s: no complete meta record", j.path)
-	}
-	if err := j.f.Truncate(off); err != nil {
-		return fmt.Errorf("wal: truncate torn tail: %w", err)
-	}
-	if _, err := j.f.Seek(off, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: seek: %w", err)
-	}
-	return nil
 }
 
 // apply folds one recovered record into the replay state.
@@ -285,32 +232,14 @@ func (j *Journal) apply(rec *record) {
 
 func cpKey(kind, label string) string { return kind + "\x00" + label }
 
-// append encodes, writes, and fsyncs one record. Caller holds no lock;
-// append takes it.
+// append encodes one record and durably appends it.
 func (j *Journal) append(rec *record) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("wal: encode: %w", err)
 	}
-	if len(payload) > maxRecordBytes {
-		return fmt.Errorf("wal: record too large (%d bytes)", len(payload))
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return errors.New("wal: journal closed")
-	}
-	if _, err := j.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wal: write: %w", err)
-	}
-	if _, err := j.f.Write(payload); err != nil {
-		return fmt.Errorf("wal: write: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+	if err := j.log.Append(payload); err != nil {
+		return fmt.Errorf("wal: %w", err)
 	}
 	return nil
 }
@@ -460,17 +389,8 @@ func (j *Journal) Seal(reason string) error {
 }
 
 // Close releases the journal file. It does not seal; a journal closed
-// without sealing reads as crashed-but-consistent.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
-}
+// without sealing reads as crashed-but-consistent. Later appends fail.
+func (j *Journal) Close() error { return j.log.Close() }
 
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }

@@ -5,6 +5,7 @@ package wal
 // CRC), checkpoint verify-or-append semantics, and seal/unseal rules.
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -251,69 +252,26 @@ func TestClosedJournalRefusesAppends(t *testing.T) {
 	}
 }
 
-// --- Torn-write recovery (satellite: crash-mid-write cases) ---
+// --- Torn-write recovery. The torn-tail shapes (partial header, short
+// payload, CRC flip, bad length) are covered in internal/framelog; these
+// check the journal's own state across a tear. ---
 
-// writeAndSize produces a journal with two complete records (meta +
-// one intent) and returns its byte size after just the meta record and
-// the full size, so tests can slice precisely.
-func tornFixture(t *testing.T) (path string, metaOnly, full int64) {
-	t.Helper()
-	path = tempJournal(t)
+func TestRecoveryDropsCorruptCRC(t *testing.T) {
+	path := tempJournal(t)
 	j := mustCreate(t, path)
 	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	metaOnly = st.Size()
+	metaOnly := st.Size()
 	if err := j.LogIntent(42, "filter@q.g0", []string{"h0"}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	st, err = os.Stat(path)
-	if err != nil {
+	if st, err = os.Stat(path); err != nil {
 		t.Fatal(err)
 	}
-	return path, metaOnly, st.Size()
-}
-
-// reopenAndCheck opens the journal and asserts the intent record
-// either survived or was truncated away, then verifies the journal is
-// appendable again (recovery repositions the write offset).
-func reopenAndCheck(t *testing.T, path string, wantPending int) {
-	t.Helper()
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got := r.PendingIntents(); got != wantPending {
-		t.Errorf("PendingIntents after recovery = %d, want %d", got, wantPending)
-	}
-	if err := r.LogIntent(43, "filter@q.g1", nil); err != nil {
-		t.Errorf("journal not appendable after recovery: %v", err)
-	}
-}
-
-func TestRecoveryTruncatesPartialHeader(t *testing.T) {
-	path, metaOnly, _ := tornFixture(t)
-	// Leave 3 of the intent record's 8 header bytes: torn header.
-	if err := os.Truncate(path, metaOnly+3); err != nil {
-		t.Fatal(err)
-	}
-	reopenAndCheck(t, path, 0)
-}
-
-func TestRecoveryTruncatesShortPayload(t *testing.T) {
-	path, metaOnly, full := tornFixture(t)
-	// Keep the full header but cut the payload short.
-	if err := os.Truncate(path, (metaOnly+8+full)/2); err != nil {
-		t.Fatal(err)
-	}
-	reopenAndCheck(t, path, 0)
-}
-
-func TestRecoveryDropsCorruptCRC(t *testing.T) {
-	path, metaOnly, full := tornFixture(t)
+	full := st.Size()
 	// Flip one payload byte of the intent record: CRC mismatch.
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -329,11 +287,31 @@ func TestRecoveryDropsCorruptCRC(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	reopenAndCheck(t, path, 0)
+
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.PendingIntents(); got != 0 {
+		t.Errorf("PendingIntents after recovery = %d, want 0", got)
+	}
+	if err := r.LogIntent(43, "filter@q.g1", nil); err != nil {
+		t.Errorf("journal not appendable after recovery: %v", err)
+	}
 }
 
 func TestRecoveryKeepsCompleteRecordsBeforeTear(t *testing.T) {
-	path, _, full := tornFixture(t)
+	path := tempJournal(t)
+	j := mustCreate(t, path)
+	if err := j.LogIntent(42, "filter@q.g0", []string{"h0"}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Append garbage past the last complete record: only it is dropped.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
@@ -343,29 +321,76 @@ func TestRecoveryKeepsCompleteRecordsBeforeTear(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	reopenAndCheck(t, path, 1)
-	st, err := os.Stat(path)
+
+	r, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Size() < full {
-		t.Errorf("recovery truncated complete records: size %d < %d", st.Size(), full)
+	if got := r.PendingIntents(); got != 1 {
+		t.Errorf("PendingIntents after recovery = %d, want 1", got)
+	}
+	// Recovery repositions the write offset: a new record lands right
+	// after the last complete one and survives a reopen.
+	if err := r.LogResult(42, sampleResult("h0")); err != nil {
+		t.Fatalf("journal not appendable after recovery: %v", err)
+	}
+	r.Close()
+	r, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.PendingIntents() != 0 || r.ReplayableResults() != 1 {
+		t.Errorf("after append past the tear: %d pending, %d results; want 0, 1", r.PendingIntents(), r.ReplayableResults())
+	}
+	if st2, _ := os.Stat(path); st2.Size() <= st.Size() {
+		t.Errorf("recovery truncated complete records: size %d <= %d", st2.Size(), st.Size())
 	}
 }
 
-func TestRecoveryRejectsOversizedLength(t *testing.T) {
-	path, metaOnly, _ := tornFixture(t)
-	// Rewrite the intent record's length prefix to an absurd value; Open
-	// must treat it as tail corruption, not an allocation request.
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+// TestOpensEarlierFormat: a journal written by an earlier build
+// (testdata/parent.qjl) resumes, and the same calls today write the
+// same bytes.
+func TestOpensEarlierFormat(t *testing.T) {
+	want, err := os.ReadFile("testdata/parent.qjl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xff}, metaOnly); err != nil {
+	path := tempJournal(t)
+	if err := os.WriteFile(path, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-	reopenAndCheck(t, path, 0)
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := r.Meta(); m.Query != "SELECT 1" || m.Fingerprint != 0xabcd {
+		t.Errorf("meta = %+v", m)
+	}
+	if sealed, reason := r.Sealed(); !sealed || reason != SealComplete {
+		t.Errorf("Sealed() = %v %q, want true %q", sealed, reason, SealComplete)
+	}
+	if r.PendingIntents() != 1 || r.ReplayableResults() != 1 || len(r.Charges()) != 1 {
+		t.Errorf("replay state: %d pending, %d results, %d charges; want 1 each",
+			r.PendingIntents(), r.ReplayableResults(), len(r.Charges()))
+	}
+	if err := r.Checkpoint("sort-group", "q.g0", 0x1234, 1.5); err != nil {
+		t.Errorf("recorded checkpoint did not verify: %v", err)
+	}
+	r.Close()
+
+	path = tempJournal(t)
+	j := mustCreate(t, path)
+	j.LogIntent(7, "filter@q.g0", []string{"h0", "h1"})
+	j.LogResult(7, sampleResult("h0"))
+	j.LogCharge(7, 2, 3)
+	j.Checkpoint("sort-group", "q.g0", 0x1234, 1.5)
+	j.LogIntent(9, "filter@q.g1", []string{"h2"})
+	j.Seal(SealComplete)
+	j.Close()
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+		t.Fatalf("journal bytes changed:\ngot  %x\nwant %x", got, want)
+	}
 }
 
 func TestOpenRejectsJournalWithoutMeta(t *testing.T) {

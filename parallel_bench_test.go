@@ -70,7 +70,7 @@ func BenchmarkParallelQuery(b *testing.B) {
 		eng.Catalog.Register(d.Photos)
 		eng.Library.MustRegister(SamePersonTask())
 		eng.Library.MustRegister(GenderTask())
-		if _, _, err := RunQuery(eng, `
+		if _, _, err := runQuery(eng, `
 SELECT c.name FROM celeb c JOIN photos p
 ON samePerson(c.img, p.img)
 AND POSSIBLY gender(c.img) = gender(p.img)

@@ -13,11 +13,14 @@
 //
 //	d := qurk.NewCelebrities(qurk.CelebrityConfig{N: 30, Seed: 1})
 //	market := qurk.NewSimMarket(qurk.DefaultMarketConfig(1), d.Oracle())
-//	eng := qurk.NewEngine(market, qurk.Options{})
-//	eng.Catalog.Register(d.Celeb)
-//	eng.Library.MustRegister(qurk.IsFemaleTask())
-//	out, stats, err := qurk.RunQuery(eng,
+//	client := qurk.NewClient(market)
+//	client.Engine().Catalog.Register(d.Celeb)
+//	client.Engine().Library.MustRegister(qurk.IsFemaleTask())
+//	out, stats, err := client.Run(ctx,
 //	    `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`)
+//
+// With WithJournal(path) the run is durable, and Client.Resume picks
+// an interrupted run back up from the journal.
 //
 // Queries support the paper's dialect: crowd UDFs in WHERE (Filter
 // tasks), JOIN ... ON (EquiJoin tasks) with POSSIBLY feature filters
@@ -280,24 +283,6 @@ var (
 	// OptimizeOptionsFrom seeds optimizer options from engine options.
 	OptimizeOptionsFrom = plan.OptimizeOptionsFrom
 )
-
-// RunQuery parses, plans, and executes one query string on the
-// streaming Volcano executor.
-//
-// Deprecated: construct a Client and use Client.Run; this wrapper
-// remains for compatibility.
-func RunQuery(e *Engine, src string) (*Relation, *ExecStats, error) {
-	return exec.RunQuery(e, src)
-}
-
-// RunQueryContext is RunQuery with cooperative cancellation: when ctx
-// is done, operators stop posting HITs and unwind promptly.
-//
-// Deprecated: construct a Client and use Client.Run; this wrapper
-// remains for compatibility.
-func RunQueryContext(ctx context.Context, e *Engine, src string) (*Relation, *ExecStats, error) {
-	return exec.RunQueryContext(ctx, e, src)
-}
 
 // Cost-based optimizer types (paper §2.6's minimize-HITs objective over
 // the §3/§4 interface choices).
@@ -592,7 +577,7 @@ func DollarCost(hits, assignmentsPerHIT int) float64 {
 type (
 	// Journal is the append-only, fsync-on-commit write-ahead journal a
 	// durable run records marketplace traffic and breaker checkpoints
-	// into; qurk.Resume replays it after a crash.
+	// into; Client.Resume replays it after a crash.
 	Journal = wal.Journal
 	// JournalMeta identifies the query a journal belongs to; Resume
 	// refuses a journal whose fingerprint does not match.
@@ -617,27 +602,13 @@ var (
 	ErrJournalDiverged = wal.ErrDiverged
 )
 
-// RunQueryDurable executes one query like RunQueryContext but records
-// every marketplace interaction and breaker checkpoint into a fresh
-// write-ahead journal at journalPath (which must not exist yet). If
-// the process crashes — or the context is cancelled — partway through,
-// Resume with the same engine configuration and query picks the run
-// back up with zero duplicate HIT posting: completed groups replay
-// from the journal, and groups whose intent committed but whose result
-// did not are re-posted, which both backends absorb idempotently
-// (MTurk re-attaches to still-live HITs by UniqueRequestToken; the
-// simulator re-derives the same deterministic answers). On success the
-// journal is sealed "complete"; on error it is sealed with the reason
-// and remains resumable.
-//
-// Deprecated: construct a Client with WithJournal and use Client.Run;
-// this wrapper remains for compatibility.
-func RunQueryDurable(ctx context.Context, e *Engine, src, journalPath string) (*Relation, *ExecStats, error) {
-	return runDurable(ctx, e, src, journalPath)
-}
-
-// runDurable starts a fresh journal at journalPath and runs src
-// through it (the body behind RunQueryDurable and Client.Run).
+// runDurable starts a fresh journal at journalPath (which must not
+// exist yet) and runs src through it: every marketplace interaction
+// and breaker checkpoint is recorded, so a run that crashes or is
+// cancelled partway through resumes with zero duplicate HIT posting.
+// On success the journal is sealed "complete"; on error it is sealed
+// with the reason and remains resumable. It is the body behind
+// Client.Run with WithJournal.
 func runDurable(ctx context.Context, e *Engine, src, journalPath string) (*Relation, *ExecStats, error) {
 	j, err := wal.Create(journalPath, journalMeta(e, src))
 	if err != nil {
@@ -655,23 +626,11 @@ func journalMeta(e *Engine, src string) JournalMeta {
 	}
 }
 
-// Resume re-executes a durable run from its journal: recorded group
-// results replay from disk without touching the marketplace, breaker
-// checkpoints are verified (ErrJournalDiverged on mismatch), and
-// execution continues live from the last consistent frontier. The
-// engine must be configured identically to the original run — same
-// query, options, and backend kind — or Resume refuses the journal.
-// Resuming a journal sealed "complete" simply replays the whole run
-// and returns the same result.
-//
-// Deprecated: construct a Client with WithJournal and use
-// Client.Resume; this wrapper remains for compatibility.
-func Resume(ctx context.Context, e *Engine, src, journalPath string) (*Relation, *ExecStats, error) {
-	return resumeJournal(ctx, e, src, journalPath)
-}
-
 // resumeJournal reopens journalPath, verifies its fingerprint, and
-// re-runs src through it (the body behind Resume and Client.Resume).
+// re-runs src through it (the body behind Client.Resume): recorded
+// group results replay from disk without touching the marketplace,
+// breaker checkpoints are verified (ErrJournalDiverged on mismatch),
+// and execution continues live from the last consistent frontier.
 func resumeJournal(ctx context.Context, e *Engine, src, journalPath string) (*Relation, *ExecStats, error) {
 	j, err := wal.Open(journalPath)
 	if err != nil {

@@ -1,20 +1,26 @@
 package qurk
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
-// TestFacadeEndToEnd exercises the public API exactly as the README's
-// quick start does.
+// runQuery runs src on a pre-built engine through a Client.
+func runQuery(e *Engine, src string) (*Relation, *ExecStats, error) {
+	return (&Client{eng: e}).Run(context.Background(), src)
+}
+
+// TestFacadeEndToEnd exercises the public API exactly as the package
+// doc's quick start does.
 func TestFacadeEndToEnd(t *testing.T) {
 	d := NewCelebrities(CelebrityConfig{N: 20, Seed: 1})
 	market := NewSimMarket(DefaultMarketConfig(1), d.Oracle())
-	eng := NewEngine(market, Options{})
-	eng.Catalog.Register(d.Celeb)
-	eng.Library.MustRegister(IsFemaleTask())
+	client := NewClient(market)
+	client.Engine().Catalog.Register(d.Celeb)
+	client.Engine().Library.MustRegister(IsFemaleTask())
 
-	out, stats, err := RunQuery(eng, `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`)
+	out, stats, err := client.Run(context.Background(), `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +104,7 @@ SELECT c.name FROM celeb AS c WHERE isFemale(c.img);
 	if err := eng.Library.LoadScript(script); err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := RunQuery(eng, script.Queries[0].String())
+	out, _, err := runQuery(eng, script.Queries[0].String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ ORDER BY c.name`
 		e.Catalog.Register(d.Photos)
 		e.Library.MustRegister(SamePersonTask())
 		e.Library.MustRegister(GenderTask())
-		out, stats, err := RunQuery(e, query)
+		out, stats, err := runQuery(e, query)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func BenchmarkReoptimizeSort(b *testing.B) {
 		e := NewEngine(m, opts)
 		e.Catalog.Register(sq.Rel)
 		e.Library.MustRegister(SquareSorterTask())
-		out, stats, err := RunQuery(e, query)
+		out, stats, err := runQuery(e, query)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -36,17 +36,12 @@ ORDER BY c.name`,
 		newMarket: func() *SimMarket {
 			return NewSimMarket(cfg, d.Oracle())
 		},
-		newEngine: func(m Marketplace) *Engine {
+		newClient: func(m Marketplace, journal string) *Client {
 			opts := Options{JoinAlgorithm: NaiveJoin, JoinBatch: 2, StreamChunkHITs: chunk, Seed: 7}
 			if enabled {
 				opts.Replan = ReplanOptions{Enabled: true, ProbeTuples: 4}
 			}
-			eng := NewEngine(m, opts)
-			eng.Catalog.Register(d.Celeb)
-			eng.Catalog.Register(d.Photos)
-			eng.Library.MustRegister(SamePersonTask())
-			eng.Library.MustRegister(GenderTask())
-			return eng
+			return journaledClient(m, journal, opts, []*Relation{d.Celeb, d.Photos}, SamePersonTask(), GenderTask())
 		},
 	}
 }
@@ -64,15 +59,12 @@ func replanSortCase(enabled bool, minQuality float64, chunk int) durableCase {
 		newMarket: func() *SimMarket {
 			return NewSimMarket(cfg, sq.Oracle())
 		},
-		newEngine: func(m Marketplace) *Engine {
+		newClient: func(m Marketplace, journal string) *Client {
 			opts := Options{StreamChunkHITs: chunk, Seed: 5}
 			if enabled {
 				opts.Replan = ReplanOptions{Enabled: true, MinQuality: minQuality}
 			}
-			eng := NewEngine(m, opts)
-			eng.Catalog.Register(sq.Rel)
-			eng.Library.MustRegister(SquareSorterTask())
-			return eng
+			return journaledClient(m, journal, opts, []*Relation{sq.Rel}, SquareSorterTask())
 		},
 	}
 }
@@ -82,7 +74,7 @@ func replanSortCase(enabled bool, minQuality float64, chunk int) durableCase {
 func runCase(t *testing.T, c durableCase) (string, []string) {
 	t.Helper()
 	m := c.newMarket()
-	out, _, err := RunQuery(c.newEngine(m), c.query)
+	out, _, err := c.newClient(m, "").Run(context.Background(), c.query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +265,7 @@ func TestExplainShowsObservedStats(t *testing.T) {
 SELECT c.name FROM celeb c JOIN photos p
 ON samePerson(c.img, p.img)
 AND POSSIBLY gender(c.img) = gender(p.img)`
-	_, stats, err := RunQuery(eng, query)
+	_, stats, err := runQuery(eng, query)
 	if err != nil {
 		t.Fatal(err)
 	}

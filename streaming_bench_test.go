@@ -51,12 +51,12 @@ func extractionHITs(stats *ExecStats) float64 {
 func BenchmarkStreamedExtractionMakespan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eS, src := featureJoinEngine(2, 0, 120)
-		_, streamed, err := RunQuery(eS, src+` LIMIT 3`)
+		_, streamed, err := runQuery(eS, src+` LIMIT 3`)
 		if err != nil {
 			b.Fatal(err)
 		}
 		eM, _ := featureJoinEngine(1<<20, 0, 120)
-		_, mono, err := RunQuery(eM, src+` LIMIT 3`)
+		_, mono, err := runQuery(eM, src+` LIMIT 3`)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func BenchmarkSpillExternalSort(b *testing.B) {
 		m := NewSimMarket(DefaultMarketConfig(43), d.Oracle())
 		e := NewEngine(m, Options{BreakerMemTuples: cap, Seed: 43})
 		e.Catalog.Register(d.Celeb)
-		out, _, err := RunQuery(e, `SELECT c.name FROM celeb c ORDER BY c.name`)
+		out, _, err := runQuery(e, `SELECT c.name FROM celeb c ORDER BY c.name`)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func BenchmarkSpillJoinBuild(b *testing.B) {
 		e.Catalog.Register(d.Celeb)
 		e.Catalog.Register(d.Photos)
 		e.Library.MustRegister(SamePersonTask())
-		out, stats, err := RunQuery(e, `SELECT c.name FROM celeb c JOIN photos p ON samePerson(c.img, p.img)`)
+		out, stats, err := runQuery(e, `SELECT c.name FROM celeb c JOIN photos p ON samePerson(c.img, p.img)`)
 		if err != nil {
 			b.Fatal(err)
 		}
