@@ -19,7 +19,6 @@ import (
 	"qurk/internal/obstats"
 	"qurk/internal/relation"
 	"qurk/internal/service"
-	"qurk/internal/wal"
 )
 
 // --- Shared cross-query answer store (internal/answerstore) ---
@@ -102,12 +101,6 @@ func WithOptions(o Options) ClientOption {
 	return func(c *clientConfig) { c.opts = o }
 }
 
-// WithAssignments sets workers per HIT without replacing the rest of
-// the options.
-func WithAssignments(n int) ClientOption {
-	return func(c *clientConfig) { c.opts.Assignments = n }
-}
-
 // WithCatalog shares a table catalog (e.g. a dataset's, or one pooled
 // across clients) instead of starting empty.
 func WithCatalog(cat *Catalog) ClientOption {
@@ -176,15 +169,6 @@ func WithBudget(dollars float64) ClientOption {
 	return func(c *clientConfig) { c.budget, c.hasBudget = dollars, true }
 }
 
-// WithStreamChunk sets the streaming executor's HIT chunk size and
-// posting lookahead.
-func WithStreamChunk(hits, lookahead int) ClientOption {
-	return func(c *clientConfig) {
-		c.opts.StreamChunkHITs = hits
-		c.opts.StreamLookahead = lookahead
-	}
-}
-
 // NewClient builds a client over a marketplace.
 func NewClient(market Marketplace, opts ...ClientOption) *Client {
 	var cfg clientConfig
@@ -232,24 +216,17 @@ func (c *Client) SpentDollars() float64 {
 // must not exist yet) and seals it when done, so Resume can finish an
 // interrupted run. Otherwise it is a plain cancellable run.
 func (c *Client) Run(ctx context.Context, src string) (*Relation, *ExecStats, error) {
-	if c.journal != "" {
-		return runDurable(ctx, c.eng, src, c.journal)
-	}
-	return exec.RunQueryContext(ctx, c.eng, src)
+	return c.RunStream(ctx, src, nil)
 }
 
-// RunStream executes one query, delivering result batches to sink as
-// the executor produces them; the materialized relation is still
-// returned. Durable journaling applies as in Run.
+// RunStream executes one query, delivering result batches to sink (nil
+// for none) as the executor produces them; the materialized relation
+// is still returned. Durable journaling applies as in Run.
 func (c *Client) RunStream(ctx context.Context, src string, sink StreamSink) (*Relation, *ExecStats, error) {
 	if c.journal != "" {
-		j, err := wal.Create(c.journal, journalMeta(c.eng, src))
-		if err != nil {
-			return nil, nil, err
-		}
-		return runJournaledStream(ctx, c.eng, src, j, sink)
+		return runJournaled(ctx, c.eng, src, c.journal, false, sink)
 	}
-	return exec.RunQueryStreamContext(ctx, c.eng, src, sink)
+	return execQuery(ctx, c.eng, src, sink)
 }
 
 // Resume continues an interrupted durable run from the client's
@@ -258,7 +235,7 @@ func (c *Client) Resume(ctx context.Context, src string) (*Relation, *ExecStats,
 	if c.journal == "" {
 		return nil, nil, fmt.Errorf("qurk: Resume needs a journal (configure the client with WithJournal)")
 	}
-	return resumeJournal(ctx, c.eng, src, c.journal)
+	return runJournaled(ctx, c.eng, src, c.journal, true, nil)
 }
 
 // Optimize runs the cost-based operator-selection pass for one query

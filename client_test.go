@@ -3,7 +3,10 @@ package qurk
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"testing"
+
+	"qurk/internal/wal"
 )
 
 const clientTestQuery = `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`
@@ -97,5 +100,72 @@ func TestClientSharedAnswerStore(t *testing.T) {
 	}
 	if out1.Len() != out2.Len() {
 		t.Fatalf("results diverge: %d rows vs %d", out1.Len(), out2.Len())
+	}
+}
+
+// TestClientRerunReusesOnlyThroughAnswerStore: a Client keeps no
+// answers of its own between runs. Without a store, running the same
+// filter twice posts the same HITs twice; with an in-memory answer
+// store, the second run posts none.
+func TestClientRerunReusesOnlyThroughAnswerStore(t *testing.T) {
+	run := func(c *Client) (hits, reused, rows int) {
+		t.Helper()
+		out, stats, err := c.Run(context.Background(), clientTestQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats.TotalHITs(), stats.TotalReused(), out.Len()
+	}
+
+	plain := newTestClient(20, 1)
+	hits1, _, rows1 := run(plain)
+	if hits1 == 0 {
+		t.Fatal("first run posted no HITs")
+	}
+	hits2, reused2, rows2 := run(plain)
+	if hits2 != hits1 || reused2 != 0 || rows2 != rows1 {
+		t.Fatalf("second run without a store: %d HITs, %d reused, %d rows; want %d HITs, 0 reused, %d rows",
+			hits2, reused2, rows2, hits1, rows1)
+	}
+	if got, want := plain.Ledger().TotalHITs(), 2*hits1; got != want {
+		t.Fatalf("ledger holds %d HITs after two runs, want %d", got, want)
+	}
+
+	store, err := OpenAnswerStore("", AnswerStorePolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	cached := newTestClient(20, 1, WithAnswerStore(store))
+	if hits, _, _ := run(cached); hits != hits1 {
+		t.Fatalf("first run with a store posted %d HITs, want %d", hits, hits1)
+	}
+	hits2, reused2, rows2 = run(cached)
+	if hits2 != 0 || reused2 == 0 || rows2 != rows1 {
+		t.Fatalf("second run with a store: %d HITs, %d reused, %d rows; want 0 HITs, >0 reused, %d rows",
+			hits2, reused2, rows2, rows1)
+	}
+}
+
+// TestClientJournalFingerprintPinned pins the fingerprint a Client
+// writes into a fresh journal's meta: the value below was computed by
+// the earlier Client-only fingerprint code for the same query, default
+// options, and simulated backend, so journals it wrote still resume.
+func TestClientJournalFingerprintPinned(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.qjl")
+	c := newTestClient(8, 1, WithOptions(Options{}), WithJournal(path))
+	if _, _, err := c.Run(context.Background(), clientTestQuery); err != nil {
+		t.Fatal(err)
+	}
+	j, err := wal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if got, want := j.Meta().Fingerprint, uint64(0x12766f81b5be950b); got != want {
+		t.Fatalf("journal fingerprint = %#x, want %#x", got, want)
+	}
+	if got, want := j.Meta().Backend, "*crowd.SimMarket"; got != want {
+		t.Fatalf("journal backend = %q, want %q", got, want)
 	}
 }

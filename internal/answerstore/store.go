@@ -1,5 +1,5 @@
-// Package answerstore generalizes the per-run task cache
-// (internal/hit.Cache) into a persistent, concurrency-safe, cross-query
+// Package answerstore is the engine's answer cache (the paper's task
+// cache, Fig. 1) as a persistent, concurrency-safe, cross-query
 // answer store: crowd votes for a question keyed by normalized content
 // (task, kind, tuple content via Question.CacheKey) outlive the query
 // that paid for them, so an identical question asked later — by the same

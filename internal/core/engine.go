@@ -373,11 +373,11 @@ type JournalSink interface {
 }
 
 // AnswerStore is a content-addressed vote store consulted before a
-// crowd question is posted and fed after its votes fold. The per-run
-// hit.Cache satisfies it; internal/answerstore implements the
-// persistent, cross-query variant the multi-tenant service shares
-// between queries and tenants. Implementations must be safe for
-// concurrent use: one store serves many queries at once.
+// crowd question is posted and fed after its votes fold: the paper's
+// task cache (Fig. 1). internal/answerstore implements it, in memory
+// or persistent, and the multi-tenant service shares one between
+// queries and tenants. Implementations must be safe for concurrent
+// use: one store serves many queries at once.
 type AnswerStore interface {
 	// Lookup returns stored votes for a question with identical content
 	// (Question.CacheKey), if the store's policy allows serving them.
@@ -408,17 +408,17 @@ type Engine struct {
 	Library *Library
 	Market  crowd.Marketplace
 	Ledger  *cost.Ledger
-	Cache   *hit.Cache
 	Options Options
 	// Journal, when non-nil, receives breaker checkpoints during
 	// execution (durable runs; see internal/wal and qurk.WithJournal).
 	Journal JournalSink
-	// Answers, when non-nil, is the shared cross-query answer store: a
-	// question whose content already has servable votes is answered from
-	// the store and never posted, and every freshly collected question
-	// feeds it. Unlike Cache (per-run, consulted only by the adaptive
-	// filter path), Answers is consulted by every crowd operator and is
-	// typically shared by many engines in a qurkd process.
+	// Answers, when non-nil, is the engine's only answer cache: a
+	// question whose content already has servable votes is answered
+	// from the store and never posted, and every freshly collected
+	// question feeds it. Every crowd operator consults it; it lasts as
+	// long as the store does (across runs, and across the engines of a
+	// qurkd process that share it). A nil store reuses nothing, so
+	// every run posts every question it mints.
 	Answers AnswerStore
 	// ObStats, when non-nil, is the shared observed-statistics store:
 	// the optimizer seeds selectivity / pass-fraction / group-size
@@ -431,7 +431,8 @@ type Engine struct {
 	ObStats ObservedStats
 }
 
-// NewEngine builds an engine with fresh catalog/library/ledger/cache.
+// NewEngine builds an engine with a fresh catalog, library, and ledger
+// and no answer store.
 func NewEngine(market crowd.Marketplace, opts Options) *Engine {
 	opts.fillDefaults()
 	return &Engine{
@@ -439,7 +440,6 @@ func NewEngine(market crowd.Marketplace, opts Options) *Engine {
 		Library: NewLibrary(),
 		Market:  market,
 		Ledger:  cost.NewLedger(),
-		Cache:   hit.NewCache(),
 		Options: opts,
 	}
 }

@@ -44,6 +44,9 @@ func (e Entry) Dollars() float64 { return Dollars(e.HITs, e.Assignments) }
 type Ledger struct {
 	mu      sync.Mutex
 	entries []Entry
+	// byLabel is each label's running dollar total, summed in Add order
+	// so it equals a fresh sum over that label's entries bit for bit.
+	byLabel map[string]float64
 }
 
 // NewLedger returns an empty ledger.
@@ -53,7 +56,20 @@ func NewLedger() *Ledger { return &Ledger{} }
 func (l *Ledger) Add(label string, hits, assignmentsPerHIT int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.entries = append(l.entries, Entry{Label: label, HITs: hits, Assignments: assignmentsPerHIT})
+	e := Entry{Label: label, HITs: hits, Assignments: assignmentsPerHIT}
+	l.entries = append(l.entries, e)
+	if l.byLabel == nil {
+		l.byLabel = map[string]float64{}
+	}
+	l.byLabel[label] += e.Dollars()
+}
+
+// LabelDollars is the dollar cost of the entries recorded under label,
+// read in O(1) without copying the ledger.
+func (l *Ledger) LabelDollars(label string) float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.byLabel[label]
 }
 
 // Entries returns a copy of the recorded lines.

@@ -38,3 +38,24 @@ func TestLedger(t *testing.T) {
 		t.Errorf("entries = %d", len(l.Entries()))
 	}
 }
+
+// TestLabelDollarsMatchesEntries checks the per-label running total is
+// bit-identical to summing that label's entries in Add order.
+func TestLabelDollarsMatchesEntries(t *testing.T) {
+	l := NewLedger()
+	for i := 0; i < 50; i++ {
+		l.Add("a", i%7+1, i%5+1)
+		l.Add("b", 3, 2)
+	}
+	for _, label := range []string{"a", "b", "none"} {
+		var want float64
+		for _, e := range l.Entries() {
+			if e.Label == label {
+				want += e.Dollars()
+			}
+		}
+		if got := l.LabelDollars(label); got != want {
+			t.Errorf("LabelDollars(%q) = %v, want %v", label, got, want)
+		}
+	}
+}

@@ -10,13 +10,11 @@
 // Determinism: each operator gates lookups behind a per-run asked-set
 // keyed by question content, so a question's store-hit behavior depends
 // only on the store state when its content is FIRST minted — never on
-// which chunk happened to be collected in between (the same rule the
-// per-run task cache follows in the filter operator). For a fixed store
+// which chunk happened to be collected in between. For a fixed store
 // state a run is bit-identical at any batch/chunk size; concurrent
 // queries mutating a shared store are inherently racy across queries,
-// exactly like two runs racing the per-run cache, and the service
-// treats that as acceptable: whichever query posts first pays, the
-// other reuses.
+// and the service treats that as acceptable: whichever query posts
+// first pays, the other reuses.
 //
 // Durable runs journal every store hit as a replayed result
 // (ckptAnswerReplay) so a resume verifies the same questions were

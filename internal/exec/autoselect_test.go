@@ -31,7 +31,7 @@ func TestAutoSelectFeaturesDropsHair(t *testing.T) {
 	e.Library.MustRegister(dataset.HairColorTask())
 	e.Library.MustRegister(dataset.SkinColorTask())
 
-	out, stats, err := RunQuery(e, `
+	out, stats, err := runQuery(e, `
 SELECT c.name FROM celeb c JOIN photos p
 ON samePerson(c.img, p.img)
 AND POSSIBLY gender(c.img) = gender(p.img)
@@ -82,7 +82,7 @@ func TestAutoSelectOffKeepsAllFeatures(t *testing.T) {
 	e.Library.MustRegister(dataset.GenderTask())
 	e.Library.MustRegister(dataset.HairColorTask())
 
-	_, stats, err := RunQuery(e, `
+	_, stats, err := runQuery(e, `
 SELECT c.name FROM celeb c JOIN photos p
 ON samePerson(c.img, p.img)
 AND POSSIBLY gender(c.img) = gender(p.img)

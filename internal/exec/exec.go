@@ -155,40 +155,6 @@ func (s *Stats) SerialMakespanHours() float64 {
 	return t
 }
 
-// Run parses nothing: it plans and executes an already-parsed statement.
-func Run(e *core.Engine, stmt *query.SelectStmt) (*relation.Relation, *Stats, error) {
-	return RunContext(context.Background(), e, stmt)
-}
-
-// RunContext is Run with cooperative cancellation: when ctx is done,
-// streaming operators stop posting HITs and the pipeline unwinds.
-// Chunks already on the marketplace complete (posted crowd work cannot
-// be recalled) but are no longer waited for. Pipeline breakers that
-// post through blocking marketplace calls (crowd sorts, join feature
-// extraction) observe cancellation at their next phase boundary, not
-// mid-phase.
-func RunContext(ctx context.Context, e *core.Engine, stmt *query.SelectStmt) (*relation.Relation, *Stats, error) {
-	node, err := plan.Build(stmt, e.Library)
-	if err != nil {
-		return nil, nil, err
-	}
-	return RunPlanContext(ctx, e, node)
-}
-
-// RunQuery parses, plans, and executes one query string.
-func RunQuery(e *core.Engine, src string) (*relation.Relation, *Stats, error) {
-	return RunQueryContext(context.Background(), e, src)
-}
-
-// RunQueryContext is RunQuery with cooperative cancellation.
-func RunQueryContext(ctx context.Context, e *core.Engine, src string) (*relation.Relation, *Stats, error) {
-	stmt, err := query.ParseQuery(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	return RunContext(ctx, e, stmt)
-}
-
 // executor carries per-run state.
 type executor struct {
 	eng   *core.Engine
@@ -205,56 +171,36 @@ func (x *executor) groupID(label, path string) string {
 	return fmt.Sprintf("%s@%s", label, path)
 }
 
-// RunPlan executes a plan tree.
+// Sink receives one batch of result tuples as the streaming executor
+// produces it: the rows, and the virtual crowd clock at which they
+// became available. Returning an error aborts the run.
+type Sink func(tuples []relation.Tuple, ready float64) error
+
+// RunPlanStreamContext compiles a plan tree to a streaming operator
+// tree and drains it, delivering every result batch to sink (nil for
+// none) as the root yields it, so callers (the qurkd row stream,
+// Client.RunStream) can forward rows while crowd work is still in
+// flight. The fully materialized relation is still returned at the
+// end. It is the executor's one entry point: callers parse and build
+// the tree with plan.BuildQuery.
+//
+// When ctx is done, streaming operators stop posting HITs and the
+// pipeline unwinds. Chunks already on the marketplace complete (posted
+// crowd work cannot be recalled) but are no longer waited for.
+// Pipeline breakers that post through blocking marketplace calls
+// (crowd sorts, join feature extraction) observe cancellation at their
+// next phase boundary, not mid-phase.
 //
 // Against a simulated marketplace, crowd randomness derives from the
 // market seed plus content-stable HIT-group IDs, so re-running the same
 // plan on the same market reproduces the same answers (useful for
 // debugging). To sample independent crowd draws — e.g. to estimate
 // result variance — run each trial against a market with a different
-// seed.
-//
-// One caveat for hand-built plans: the engine's task cache is keyed by
-// question content, so if two concurrently executing operators pose the
-// *identical* question (same task, same tuples), which one hits the
-// other's cached answers depends on scheduling. Planner-built plans
-// never duplicate a question across concurrent operators (duplicate OR
-// disjuncts are deduplicated here); for strict determinism in API-built
-// plans that do, set Engine.Cache to nil.
-func RunPlan(e *core.Engine, node plan.Node) (*relation.Relation, *Stats, error) {
-	return RunPlanContext(context.Background(), e, node)
-}
-
-// RunPlanContext compiles the plan to a streaming operator tree and
-// drains it.
-func RunPlanContext(ctx context.Context, e *core.Engine, node plan.Node) (*relation.Relation, *Stats, error) {
-	return RunPlanStreamContext(ctx, e, node, nil)
-}
-
-// Sink receives one batch of result tuples as the streaming executor
-// produces it: the rows, and the virtual crowd clock at which they
-// became available. Returning an error aborts the run.
-type Sink func(tuples []relation.Tuple, ready float64) error
-
-// RunQueryStreamContext is RunQueryContext with incremental delivery:
-// sink observes every result batch as the root operator yields it, so
-// callers (the qurkd row stream, Client.RunStream) can forward rows
-// while crowd work is still in flight. The fully materialized relation
-// is still returned at the end.
-func RunQueryStreamContext(ctx context.Context, e *core.Engine, src string, sink Sink) (*relation.Relation, *Stats, error) {
-	stmt, err := query.ParseQuery(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	node, err := plan.Build(stmt, e.Library)
-	if err != nil {
-		return nil, nil, err
-	}
-	return RunPlanStreamContext(ctx, e, node, sink)
-}
-
-// RunPlanStreamContext is RunPlanContext with incremental delivery
-// through sink (nil for none).
+// seed. Answer reuse across runs flows only through Engine.Answers:
+// an engine without an answer store posts every question it mints. An
+// API-built plan whose concurrently executing operators pose the
+// identical question races on that store the way concurrent queries
+// do; planner-built plans never duplicate a question across operators.
 func RunPlanStreamContext(ctx context.Context, e *core.Engine, node plan.Node, sink Sink) (*relation.Relation, *Stats, error) {
 	x := &executor{eng: e, stats: &Stats{}}
 	root, err := x.build(node, "q")
@@ -648,7 +594,7 @@ func (x *executor) buildFilter(child Operator, label, path string, specs []*filt
 		if sp.dupOf != i {
 			// Duplicate disjuncts run once and share the result:
 			// concurrent identical branches would otherwise race on the
-			// task cache, making reruns timing-dependent.
+			// answer store, making reruns timing-dependent.
 			x.stats.add(OpStat{Label: fmt.Sprintf("%s = [%d] (duplicate disjunct)", sp.label, sp.dupOf)})
 			f.branch = append(f.branch, br)
 			continue

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,9 +9,24 @@ import (
 	"qurk/internal/crowd"
 	"qurk/internal/dataset"
 	"qurk/internal/join"
+	"qurk/internal/plan"
 	"qurk/internal/query"
 	"qurk/internal/relation"
 )
+
+// runQuery parses, plans, and executes one query string.
+func runQuery(e *core.Engine, src string) (*relation.Relation, *Stats, error) {
+	return runQueryContext(context.Background(), e, src)
+}
+
+// runQueryContext is runQuery with cooperative cancellation.
+func runQueryContext(ctx context.Context, e *core.Engine, src string) (*relation.Relation, *Stats, error) {
+	node, err := plan.BuildQuery(src, e.Library)
+	if err != nil {
+		return nil, nil, err
+	}
+	return RunPlanStreamContext(ctx, e, node, nil)
+}
 
 func celebEngine(t *testing.T, n int, seed int64, opts core.Options) (*dataset.Celebrities, *core.Engine) {
 	t.Helper()
@@ -29,7 +45,7 @@ func celebEngine(t *testing.T, n int, seed int64, opts core.Options) (*dataset.C
 
 func TestExecFilterQuery(t *testing.T) {
 	d, e := celebEngine(t, 30, 1, core.Options{})
-	out, stats, err := RunQuery(e, `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`)
+	out, stats, err := runQuery(e, `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +80,7 @@ func TestExecFilterQuery(t *testing.T) {
 
 func TestExecJoinQueryWithFeatures(t *testing.T) {
 	_, e := celebEngine(t, 20, 3, core.Options{JoinAlgorithm: join.Naive, JoinBatch: 5, ExtractCombined: true})
-	out, stats, err := RunQuery(e, `
+	out, stats, err := runQuery(e, `
 SELECT c.name FROM celeb c JOIN photos p
 ON samePerson(c.img, p.img)
 AND POSSIBLY gender(c.img) = gender(p.img)`)
@@ -97,7 +113,7 @@ AND POSSIBLY gender(c.img) = gender(p.img)`)
 
 func TestExecMachineFilterAndProject(t *testing.T) {
 	_, e := celebEngine(t, 10, 5, core.Options{})
-	out, stats, err := RunQuery(e, `SELECT p.id, p.img FROM photos p WHERE p.id >= 5`)
+	out, stats, err := runQuery(e, `SELECT p.id, p.img FROM photos p WHERE p.id >= 5`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +130,7 @@ func TestExecMachineFilterAndProject(t *testing.T) {
 
 func TestExecProjectAlias(t *testing.T) {
 	_, e := celebEngine(t, 5, 7, core.Options{})
-	out, _, err := RunQuery(e, `SELECT c.name AS who FROM celeb c`)
+	out, _, err := runQuery(e, `SELECT c.name AS who FROM celeb c`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +141,7 @@ func TestExecProjectAlias(t *testing.T) {
 
 func TestExecLimitAndMachineOrder(t *testing.T) {
 	_, e := celebEngine(t, 10, 9, core.Options{})
-	out, _, err := RunQuery(e, `SELECT p.id FROM photos p ORDER BY p.id DESC LIMIT 3`)
+	out, _, err := runQuery(e, `SELECT p.id FROM photos p ORDER BY p.id DESC LIMIT 3`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +159,7 @@ func TestExecSortQuery(t *testing.T) {
 	e := core.NewEngine(m, core.Options{SortMethod: core.SortCompare, CompareGroupSize: 5})
 	e.Catalog.Register(s.Rel)
 	e.Library.MustRegister(dataset.SquareSorterTask())
-	out, stats, err := RunQuery(e, `SELECT label FROM squares ORDER BY squareSorter(img)`)
+	out, stats, err := runQuery(e, `SELECT label FROM squares ORDER BY squareSorter(img)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +184,7 @@ func TestExecSortDescAndRate(t *testing.T) {
 	e := core.NewEngine(m, core.Options{SortMethod: core.SortRate})
 	e.Catalog.Register(s.Rel)
 	e.Library.MustRegister(dataset.SquareSorterTask())
-	out, _, err := RunQuery(e, `SELECT label FROM squares ORDER BY squareSorter(img) DESC LIMIT 1`)
+	out, _, err := runQuery(e, `SELECT label FROM squares ORDER BY squareSorter(img) DESC LIMIT 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +207,7 @@ func TestExecEndToEndMovieQuery(t *testing.T) {
 	e.Library.MustRegister(dataset.NumInSceneTask())
 	e.Library.MustRegister(dataset.QualityTask())
 
-	out, stats, err := RunQuery(e, `
+	out, stats, err := runQuery(e, `
 SELECT name, scenes.img
 FROM actors JOIN scenes
 ON inScene(actors.img, scenes.img)
@@ -242,7 +258,7 @@ ORDER BY name, quality(scenes.img)`)
 
 func TestExecOrFilter(t *testing.T) {
 	d, e := celebEngine(t, 12, 19, core.Options{})
-	out, stats, err := RunQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img) OR NOT isFemale(c.img)`)
+	out, stats, err := runQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img) OR NOT isFemale(c.img)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,16 +283,16 @@ func TestExecOrFilter(t *testing.T) {
 
 func TestExecErrors(t *testing.T) {
 	_, e := celebEngine(t, 5, 21, core.Options{})
-	if _, _, err := RunQuery(e, `SELECT x FROM missing`); err == nil {
+	if _, _, err := runQuery(e, `SELECT x FROM missing`); err == nil {
 		t.Error("missing table accepted")
 	}
-	if _, _, err := RunQuery(e, `SELECT nope FROM celeb c`); err == nil {
+	if _, _, err := runQuery(e, `SELECT nope FROM celeb c`); err == nil {
 		t.Error("missing column accepted")
 	}
-	if _, _, err := RunQuery(e, `garbage`); err == nil {
+	if _, _, err := runQuery(e, `garbage`); err == nil {
 		t.Error("parse error not surfaced")
 	}
-	if _, _, err := RunQuery(e, `SELECT c.name FROM celeb c WHERE notATask(c.img)`); err == nil {
+	if _, _, err := runQuery(e, `SELECT c.name FROM celeb c WHERE notATask(c.img)`); err == nil {
 		t.Error("unknown task accepted")
 	}
 }

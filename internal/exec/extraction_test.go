@@ -92,7 +92,7 @@ func TestStreamedExtractionLimitSavings(t *testing.T) {
 		e.Library.MustRegister(dataset.IsFemaleTask())
 		e.Library.MustRegister(dataset.SamePersonTask())
 		e.Library.MustRegister(dataset.GenderTask())
-		out, stats, err := RunQuery(e, `
+		out, stats, err := runQuery(e, `
 SELECT c.name FROM celeb c JOIN photos p
 ON samePerson(c.img, p.img)
 AND POSSIBLY gender(c.img) = gender(p.img)
@@ -136,7 +136,7 @@ func TestExtractionRefusalRetries(t *testing.T) {
 	e.Library.MustRegister(dataset.SamePersonTask())
 	e.Library.MustRegister(dataset.GenderTask())
 
-	out, stats, err := RunQuery(e, featureJoinQuery)
+	out, stats, err := runQuery(e, featureJoinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestExtractionExpiryRetries(t *testing.T) {
 	e.Library.MustRegister(dataset.SamePersonTask())
 	e.Library.MustRegister(dataset.GenderTask())
 
-	out, stats, err := RunQuery(e, featureJoinQuery)
+	out, stats, err := runQuery(e, featureJoinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

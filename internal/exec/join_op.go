@@ -390,7 +390,6 @@ func (j *crowdJoinOp) joinOptions() join.Options {
 		Assignments: j.phys.Assignments,
 		Combiner:    comb,
 		GroupID:     j.x.groupID("join/"+j.node.Task.Name, j.path),
-		Cache:       j.x.eng.Cache,
 	}
 }
 

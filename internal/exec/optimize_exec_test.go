@@ -18,6 +18,7 @@ package exec
 // interfaces than the optimizer picks.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,26 +27,17 @@ import (
 	"qurk/internal/dataset"
 	"qurk/internal/join"
 	"qurk/internal/plan"
-	"qurk/internal/query"
 )
 
 // optimizeAndRun optimizes src against the engine's catalog and runs
 // the annotated plan.
 func optimizeAndRun(t *testing.T, e *core.Engine, src string, budget float64) (*plan.CostedPlan, *Stats) {
 	t.Helper()
-	stmt, err := query.ParseQuery(src)
+	cp, err := plan.OptimizeQuery(e, src, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := plan.Build(stmt, e.Library)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := plan.Optimize(node, e.Catalog, plan.OptimizeOptionsFrom(e.Options, budget))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := RunPlan(e, cp.Root)
+	_, stats, err := RunPlanStreamContext(context.Background(), e, cp.Root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

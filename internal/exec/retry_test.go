@@ -34,7 +34,7 @@ func TestRefusedFilterRetriesAtSmallerBatch(t *testing.T) {
 	e.Catalog.Register(d.Celeb)
 	e.Library.MustRegister(dataset.IsFemaleTask())
 
-	out, stats, err := RunQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
+	out, stats, err := runQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRefusedRetriesDisabled(t *testing.T) {
 	e.Catalog.Register(d.Celeb)
 	e.Library.MustRegister(dataset.IsFemaleTask())
 
-	out, stats, err := RunQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
+	out, stats, err := runQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestRefusedRetriesExhaust(t *testing.T) {
 	e.Catalog.Register(d.Celeb)
 	e.Library.MustRegister(dataset.IsFemaleTask())
 
-	out, stats, err := RunQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
+	out, stats, err := runQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRetryChunkSizeInvariance(t *testing.T) {
 			core.Options{StreamChunkHITs: chunk, StreamLookahead: lookahead})
 		e.Catalog.Register(d.Celeb)
 		e.Library.MustRegister(dataset.IsFemaleTask())
-		out, stats, err := RunQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
+		out, stats, err := runQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,12 +147,12 @@ func TestRetryMakespanAfterRefusal(t *testing.T) {
 		return e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`
 	}
 	e, q := build(3) // batch-5 HITs refused, retries fire
-	_, retried, err := RunQuery(e, q)
+	_, retried, err := runQuery(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e2, q2 := build(30) // nothing refused
-	_, clean, err := RunQuery(e2, q2)
+	_, clean, err := runQuery(e2, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestRefusedJoinRetries(t *testing.T) {
 	e.Catalog.Register(d.Photos)
 	e.Library.MustRegister(dataset.SamePersonTask())
 
-	out, stats, err := RunQuery(e, `SELECT c.name FROM celeb c JOIN photos p ON samePerson(c.img, p.img)`)
+	out, stats, err := runQuery(e, `SELECT c.name FROM celeb c JOIN photos p ON samePerson(c.img, p.img)`)
 	if err != nil {
 		t.Fatal(err)
 	}

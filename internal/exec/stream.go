@@ -136,7 +136,7 @@ type filterBranch struct {
 	// asked tracks question content this branch has already posted in
 	// THIS run. Later duplicate rows post independently instead of
 	// replaying whatever the earlier chunk may (or may not yet) have
-	// stored in the task cache — cache-hit behavior must not depend on
+	// stored in the answer store — store-hit behavior must not depend on
 	// chunk collection timing, or results would vary with
 	// StreamChunkHITs. Matches the materializing executor, which did
 	// all lookups before any store.
@@ -327,7 +327,7 @@ func (br *filterBranch) flushHIT(size int, force bool) error {
 }
 
 // ingest mints one question per tuple per unique branch, answering
-// from the task cache where possible.
+// from the engine's answer store where possible.
 func (f *crowdFilterOp) ingest(in *Batch) error {
 	for _, t := range in.Rows() {
 		slotIdx := len(f.slots)
@@ -345,18 +345,9 @@ func (f *crowdFilterOp) ingest(in *Batch) error {
 				Tuple: t,
 			}
 			if !br.asked[q.CacheKey()] {
-				// Per-run task cache first, then the shared cross-query
-				// answer store.
-				cached, ok := []hit.CachedAnswer(nil), false
-				if f.x.eng.Cache != nil {
-					cached, ok = f.x.eng.Cache.Lookup(&q)
-				}
-				if !ok {
-					var err error
-					cached, ok, err = f.x.answersLookup(&q, in.Ready)
-					if err != nil {
-						return err
-					}
+				cached, ok, err := f.x.answersLookup(&q, in.Ready)
+				if err != nil {
+					return err
 				}
 				if ok {
 					votes := make([]combine.Vote, 0, len(cached))
@@ -430,15 +421,9 @@ func (f *crowdFilterOp) applyBranchVotes(br *filterBranch, list []qVotes, done f
 // resolved votes.
 func (f *crowdFilterOp) collectChunk(ctx context.Context, br *filterBranch) error {
 	_, err := br.post.CollectOne(ctx, func(q *hit.Question, as []hit.CachedAnswer, done float64) error {
-		if f.x.eng.Cache != nil && len(as) > 0 {
-			// Voteless questions (refused HITs) must not poison the
-			// cache: a stored empty entry would make every later
-			// identical question resolve to rejection without ever
-			// reaching the crowd. Questions deferred to an expiry retry
-			// never reach this callback and store their merged vote set
-			// when the retry resolves.
-			f.x.eng.Cache.Store(q, as)
-		}
+		// Questions deferred to an expiry retry never reach this
+		// callback and store their merged vote set when the retry
+		// resolves.
 		f.x.answersStore(q, as)
 		votes := make([]combine.Vote, 0, len(as))
 		for _, ca := range as {

@@ -21,7 +21,7 @@ import (
 // runRows serializes a query's result rows for comparison.
 func runRows(t *testing.T, e *core.Engine, src string) (string, *Stats) {
 	t.Helper()
-	out, stats, err := RunQuery(e, src)
+	out, stats, err := runQuery(e, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestLimitShortCircuitsFilterHITs(t *testing.T) {
 	}
 
 	e := build(4)
-	out, stats, err := RunQuery(e, `SELECT c.name FROM celeb AS c WHERE isFemale(c.img) LIMIT 3`)
+	out, stats, err := runQuery(e, `SELECT c.name FROM celeb AS c WHERE isFemale(c.img) LIMIT 3`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestLimitShortCircuitsFilterHITs(t *testing.T) {
 
 	// Without LIMIT the same plan pays full freight.
 	e2 := build(4)
-	_, stats2, err := RunQuery(e2, `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`)
+	_, stats2, err := runQuery(e2, `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,11 @@ func TestLimitShortCircuitsJoinHITs(t *testing.T) {
 	}
 	src := `SELECT c.name FROM celeb c JOIN photos p ON samePerson(c.img, p.img)`
 
-	_, full, err := RunQuery(build(), src)
+	_, full, err := runQuery(build(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, limited, err := RunQuery(build(), src+` LIMIT 2`)
+	out, limited, err := runQuery(build(), src+` LIMIT 2`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestContextCancellationMidPipeline(t *testing.T) {
 	e := core.NewEngine(m, core.Options{StreamChunkHITs: 2})
 	e.Catalog.Register(d.Celeb)
 	e.Library.MustRegister(dataset.IsFemaleTask())
-	_, _, err := RunQueryContext(ctx, e, `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`)
+	_, _, err := runQueryContext(ctx, e, `SELECT c.name FROM celeb AS c WHERE isFemale(c.img)`)
 	if err == nil {
 		t.Fatal("cancelled query returned no error")
 	}
@@ -339,7 +339,7 @@ func TestPipelineOverlapsCrowdPhases(t *testing.T) {
 		e.Catalog.Register(d.Photos)
 		e.Library.MustRegister(dataset.IsFemaleTask())
 		e.Library.MustRegister(dataset.SamePersonTask())
-		_, stats, err := RunQuery(e, `
+		_, stats, err := runQuery(e, `
 SELECT c.name FROM celeb c JOIN photos p
 ON samePerson(c.img, p.img)
 WHERE isFemale(c.img)`)
@@ -369,7 +369,8 @@ WHERE isFemale(c.img)`)
 
 // TestDuplicateRowsChunkInvariance: content-duplicate rows must not
 // make results depend on chunk collection timing. Each duplicate posts
-// its own questions within a run (the task cache serves only entries
+// its own questions within a run (an answer store is consulted only
+// when a question's content is first minted, so it serves only entries
 // that predate the run), so output is identical at any StreamChunkHITs.
 func TestDuplicateRowsChunkInvariance(t *testing.T) {
 	run := func(chunk int) string {
@@ -412,7 +413,7 @@ func TestMakespanCountsRejectedTuples(t *testing.T) {
 	e.Library.MustRegister(dataset.IsFemaleTask())
 	// Contradiction: serial AND of a predicate and its negation over
 	// independent vote rounds rejects (nearly) everything.
-	out, stats, err := RunQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img) AND NOT isFemale(c.img)`)
+	out, stats, err := runQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img) AND NOT isFemale(c.img)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +467,7 @@ func TestStreamChunkHITsOne(t *testing.T) {
 	e := core.NewEngine(m, core.Options{StreamChunkHITs: 1, ExecBatch: 1})
 	e.Catalog.Register(d.Celeb)
 	e.Library.MustRegister(dataset.IsFemaleTask())
-	out, stats, err := RunQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img) OR NOT isFemale(c.img)`)
+	out, stats, err := runQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img) OR NOT isFemale(c.img)`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,8 @@
 // posts to a crowd marketplace. It implements the paper's HIT generation
 // pipeline (§2.5–§2.6): batching (merging several tuples into one HIT and
 // combining several tasks over one tuple), HIT groups, HTML compilation,
-// and the content-addressed task cache.
+// and the content keys (Question.CacheKey) the answer store caches votes
+// under.
 package hit
 
 import (
@@ -220,6 +221,15 @@ func (h *HIT) Validate() error {
 		}
 	}
 	return nil
+}
+
+// CachedAnswer is one worker's stored answer to a question: what an
+// answer store keeps per question (keyed by Question.CacheKey) and
+// serves back in place of posting it again. Raw per-worker answers are
+// kept so combiners can still be swapped after the fact.
+type CachedAnswer struct {
+	WorkerID string
+	Answer   Answer
 }
 
 // Answer is a worker's response to one question.

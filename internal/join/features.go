@@ -474,23 +474,6 @@ func SamplePairs(left, right *relation.Relation, frac float64, rng *rand.Rand) [
 	return reservoir
 }
 
-// FilteredResult reports a filtered join run with its extraction costs.
-type FilteredResult struct {
-	*Result
-	// ExtractionHITs counts the linear-pass HITs (both tables).
-	ExtractionHITs int
-	// SavedComparisons is |R||S| − candidates.
-	SavedComparisons int
-	// FeaturesUsed names the filters applied.
-	FeaturesUsed []string
-	// LeftExtraction and RightExtraction expose the feature passes.
-	LeftExtraction, RightExtraction *Extraction
-}
-
-// TotalHITs is extraction plus join HITs — the paper's cost metric for
-// Table 2 and Table 5.
-func (r *FilteredResult) TotalHITs() int { return r.ExtractionHITs + r.Result.HITCount }
-
 // ExtractBoth runs the feature-extraction linear passes for the two
 // sides of a join concurrently — they are independent HIT groups, so
 // overlapping them halves the extraction phase's wall clock (§2.5's
@@ -547,38 +530,4 @@ func sameCombinerInstance(a, b combine.Combiner) bool {
 	}
 	vb := reflect.ValueOf(b)
 	return vb.Kind() == reflect.Pointer && va.Pointer() == vb.Pointer()
-}
-
-// RunFiltered extracts features on both tables (concurrently), prunes
-// the cross product, and runs the join on the streamed survivors
-// (paper §3.2's full pipeline). A single stateful extOpts.Combiner is
-// safe: ExtractBoth clones it per side (or serializes the passes when
-// it cannot be cloned).
-func RunFiltered(left, right *relation.Relation, jt *task.EquiJoin,
-	features []Feature, extOpts ExtractOptions, joinOpts Options,
-	market crowd.Marketplace) (*FilteredResult, error) {
-	lo := extOpts
-	lo.GroupID = joinOpts.GroupID + "/extract-left"
-	ro := extOpts
-	ro.GroupID = joinOpts.GroupID + "/extract-right"
-	le, re, err := ExtractBoth(left, right, features, features, lo, ro, market)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, len(features))
-	for i, f := range features {
-		names[i] = f.Field
-	}
-	res, err := RunSeq(FilteredSeq(left, right, le, re, names), jt, joinOpts, market)
-	if err != nil {
-		return nil, err
-	}
-	return &FilteredResult{
-		Result:           res,
-		ExtractionHITs:   le.HITCount + re.HITCount,
-		SavedComparisons: left.Len()*right.Len() - res.Candidates,
-		FeaturesUsed:     names,
-		LeftExtraction:   le,
-		RightExtraction:  re,
-	}, nil
 }

@@ -59,8 +59,6 @@ type Options struct {
 	Combiner combine.Combiner
 	// GroupID labels the HIT group (default "join").
 	GroupID string
-	// Cache, if non-nil, memoizes pair questions across runs.
-	Cache *hit.Cache
 }
 
 func (o *Options) fillDefaults() {
@@ -234,8 +232,8 @@ func CrossPairs(left, right *relation.Relation) []Pair {
 }
 
 // Run executes the crowd join over an explicit candidate pair list.
-// Most callers use RunCross (full cross product), RunSeq (streamed
-// candidates), or feature filtering's RunFiltered.
+// Most callers use RunCross (full cross product) or RunSeq (streamed
+// candidates, e.g. FilteredSeq's feature-compatible pairs).
 func Run(candidates []Pair, jt *task.EquiJoin, opts Options, market crowd.Marketplace) (*Result, error) {
 	return RunSeq(SliceSeq(candidates), jt, opts, market)
 }

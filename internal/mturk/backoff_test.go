@@ -12,7 +12,6 @@ import (
 
 	"qurk/internal/core"
 	"qurk/internal/dataset"
-	"qurk/internal/exec"
 	"qurk/internal/join"
 )
 
@@ -41,7 +40,7 @@ func TestPollBackoffReducesRequests(t *testing.T) {
 		d := dataset.NewCelebrities(dataset.CelebrityConfig{N: 10, Seed: 3})
 		e.Catalog.Register(d.Celeb)
 		e.Library.MustRegister(dataset.IsFemaleTask())
-		out, _, err := exec.RunQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
+		out, _, err := runQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +82,7 @@ func TestPollBackoffResetsOnProgress(t *testing.T) {
 	d := dataset.NewCelebrities(dataset.CelebrityConfig{N: 10, Seed: 5})
 	e.Catalog.Register(d.Celeb)
 	e.Library.MustRegister(dataset.IsFemaleTask())
-	out, _, err := exec.RunQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
+	out, _, err := runQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestMTurkExtractionChunkInvariance(t *testing.T) {
 		e.Catalog.Register(d.Photos)
 		e.Library.MustRegister(dataset.SamePersonTask())
 		e.Library.MustRegister(dataset.GenderTask())
-		out, stats, err := exec.RunQuery(e, `
+		out, stats, err := runQuery(e, `
 SELECT c.name FROM celeb c JOIN photos p
 ON samePerson(c.img, p.img)
 AND POSSIBLY gender(c.img) = gender(p.img)`)
@@ -169,7 +168,7 @@ func TestMTurkSortChunkInvariance(t *testing.T) {
 		s := dataset.NewSquares(8)
 		e.Catalog.Register(s.Rel)
 		e.Library.MustRegister(dataset.SquareSorterTask())
-		out, stats, err := exec.RunQuery(e, `SELECT label FROM squares ORDER BY squareSorter(img)`)
+		out, stats, err := runQuery(e, `SELECT label FROM squares ORDER BY squareSorter(img)`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +217,7 @@ func TestBackoffDoesNotDelayExpiryDetection(t *testing.T) {
 	d := dataset.NewCelebrities(dataset.CelebrityConfig{N: 5, Seed: 3})
 	e.Catalog.Register(d.Celeb)
 	e.Library.MustRegister(dataset.IsFemaleTask())
-	_, stats, err := exec.RunQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
+	_, stats, err := runQuery(e, `SELECT c.name FROM celeb c WHERE isFemale(c.img)`)
 	if err != nil {
 		t.Fatal(err)
 	}

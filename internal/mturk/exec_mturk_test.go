@@ -7,6 +7,7 @@ package mturk
 // and are re-posted with lineage-derived HIT IDs.
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +15,18 @@ import (
 	"qurk/internal/core"
 	"qurk/internal/dataset"
 	"qurk/internal/exec"
+	"qurk/internal/plan"
+	"qurk/internal/relation"
 )
+
+// runQuery parses, plans, and executes one query string.
+func runQuery(e *core.Engine, src string) (*relation.Relation, *exec.Stats, error) {
+	node, err := plan.BuildQuery(src, e.Library)
+	if err != nil {
+		return nil, nil, err
+	}
+	return exec.RunPlanStreamContext(context.Background(), e, node, nil)
+}
 
 // mturkEngine builds an engine whose marketplace is the live client
 // pointed at a fresh fake server.
@@ -50,7 +62,7 @@ const mturkQuery = `SELECT c.name FROM celeb c WHERE isFemale(c.img)`
 // submission is approved, and the ledger sees the posted HITs.
 func TestQueryOverMTurkBackend(t *testing.T) {
 	e, f := mturkEngine(t, FakeConfig{YesPct: 100}, core.Options{})
-	out, stats, err := exec.RunQuery(e, mturkQuery)
+	out, stats, err := runQuery(e, mturkQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +92,7 @@ func TestMTurkChunkInvarianceUnderExpiry(t *testing.T) {
 	run := func(chunk, lookahead int) (string, int, int) {
 		e, f := mturkEngine(t, FakeConfig{AbandonPct: 40},
 			core.Options{StreamChunkHITs: chunk, StreamLookahead: lookahead})
-		out, stats, err := exec.RunQuery(e, mturkQuery)
+		out, stats, err := runQuery(e, mturkQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +134,7 @@ func TestMTurkChunkInvarianceUnderExpiry(t *testing.T) {
 // the simulator.
 func TestMTurkExpirySurfacesInStats(t *testing.T) {
 	e, _ := mturkEngine(t, FakeConfig{AbandonPct: 40}, core.Options{})
-	_, stats, err := exec.RunQuery(e, mturkQuery)
+	_, stats, err := runQuery(e, mturkQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,13 +12,12 @@ import (
 	"time"
 
 	"qurk/internal/core"
-	"qurk/internal/exec"
 )
 
 // runRows drains a query to a row-string fingerprint.
 func runRows(t *testing.T, e *core.Engine) (string, int) {
 	t.Helper()
-	out, stats, err := exec.RunQuery(e, mturkQuery)
+	out, stats, err := runQuery(e, mturkQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +57,7 @@ func TestFaultsBeyondRetryBudgetSurface(t *testing.T) {
 		YesPct:    100,
 		FailFirst: map[string]int{opCreateHIT: 3},
 	}, core.Options{})
-	_, _, err := exec.RunQuery(e, mturkQuery)
+	_, _, err := runQuery(e, mturkQuery)
 	var re *RequestError
 	if !errors.As(err, &re) {
 		t.Fatalf("want RequestError past the retry budget, got %v", err)

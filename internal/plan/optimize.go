@@ -284,6 +284,23 @@ func Optimize(root Node, cards CardSource, opt OptimizeOptions) (*CostedPlan, er
 	return o.finish(root, over), nil
 }
 
+// OptimizeQuery parses and builds one query, then optimizes the fresh
+// tree against an engine: its catalog cardinalities, its options, and
+// its observed-statistics history (nil for none). budgetDollars 0
+// means unconstrained. The returned plan's Root is annotated, so a run
+// that must not inherit the optimizer's choices builds its own tree.
+func OptimizeQuery(e *core.Engine, src string, budgetDollars float64) (*CostedPlan, error) {
+	node, err := BuildQuery(src, e.Library)
+	if err != nil {
+		return nil, err
+	}
+	po := OptimizeOptionsFrom(e.Options, budgetDollars)
+	if e.ObStats != nil {
+		po.Stats = e.ObStats
+	}
+	return Optimize(node, e.Catalog, po)
+}
+
 func (o *optimizer) note(format string, args ...any) {
 	o.notes = append(o.notes, fmt.Sprintf(format, args...))
 }

@@ -26,6 +26,15 @@ func Build(stmt *query.SelectStmt, tasks TaskSource) (Node, error) {
 	return p.build(stmt)
 }
 
+// BuildQuery parses one query string and builds its logical plan.
+func BuildQuery(src string, tasks TaskSource) (Node, error) {
+	stmt, err := query.ParseQuery(src)
+	if err != nil {
+		return nil, err
+	}
+	return Build(stmt, tasks)
+}
+
 type planner struct {
 	tasks    TaskSource
 	bindings map[string]bool // table aliases visible to UDF args

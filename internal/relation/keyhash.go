@@ -3,7 +3,7 @@ package relation
 import "strconv"
 
 // Manual FNV-1a, byte-for-byte equivalent to hash/fnv's New64a but
-// allocation-free: Tuple.Key sits under the task cache, the WAL
+// allocation-free: Tuple.Key sits under Question.CacheKey (the answer store key), the WAL
 // checkpoint digests, the answer store, and the spill digests, so the
 // hash VALUES must never change — only the cost of computing them.
 

@@ -23,8 +23,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -51,22 +49,6 @@ type manifest struct {
 // sealCancelled is the seal reason for queries the user explicitly
 // cancelled; unlike "interrupted" seals, Recover does not resume them.
 const sealCancelled = "cancelled"
-
-// serviceFingerprint hashes what must match for a journal to be safe
-// to resume: the query text, the fully resolved options (after
-// fillDefaults — what the engine actually ran with), and the backend
-// name. Unlike the CLI facade's fingerprint it never hashes Go types,
-// so it is stable across process restarts and rebuilds.
-func serviceFingerprint(src string, opts core.Options, backend string) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, src)
-	h.Write([]byte{0})
-	ob, _ := json.Marshal(opts)
-	h.Write(ob)
-	h.Write([]byte{0})
-	io.WriteString(h, backend)
-	return h.Sum64()
-}
 
 // manifestPath and journalPath name a query's two durable files.
 func (s *Service) manifestPath(id string) string {
@@ -116,7 +98,7 @@ func readManifest(path string) (*manifest, error) {
 // group and budget charge flows through the journal. Returns the open
 // journal the query must seal at its terminal transition.
 func (s *Service) attachJournal(id, backend string, tenant *Tenant, src string, gate *BudgetGate, eng *core.Engine) (*wal.Journal, error) {
-	fp := serviceFingerprint(src, eng.Options, backend)
+	fp := wal.Fingerprint(src, eng.Options, backend)
 	m := &manifest{
 		ID:            id,
 		Tenant:        tenant.ID,
@@ -227,7 +209,7 @@ func (s *Service) recoverOne(m *manifest) {
 	// the journal's results are trusted for this query text.
 	gate := &BudgetGate{Tenant: tenant, Label: m.ID, Inner: mux}
 	eng := s.newEngine(gate, m.Options)
-	fp := serviceFingerprint(m.Query, eng.Options, m.Backend)
+	fp := wal.Fingerprint(m.Query, eng.Options, m.Backend)
 	jm := j.Meta()
 	if fp != m.Fingerprint || jm.Fingerprint != m.Fingerprint || jm.Query != m.Query {
 		_ = j.Close()
@@ -344,24 +326,17 @@ func (s *Service) armDeadline(ctx context.Context, q *Query, hours float64) {
 }
 
 // sealJournal writes the query's terminal seal and releases the
-// journal file. Completion seals SealComplete; an explicit user
-// cancel seals "cancelled" (not resumed); every other terminal —
-// failure, deadline, shutdown — seals "interrupted: …" and stays
-// resumable.
-func (q *Query) sealJournal(st State, cause error) {
+// journal file: wal.SealReason's rule (complete, or "interrupted: …"
+// and resumable after a failure, deadline, or shutdown), except that
+// an explicit user cancel seals "cancelled", which Recover does not
+// resume.
+func (q *Query) sealJournal(cause error) {
 	if q.journal == nil {
 		return
 	}
-	var reason string
-	switch {
-	case st == StateDone:
-		reason = wal.SealComplete
-	case st == StateCancelled && errors.Is(cause, errUserCancelled):
+	reason := wal.SealReason(cause)
+	if errors.Is(cause, errUserCancelled) {
 		reason = sealCancelled
-	case cause != nil:
-		reason = "interrupted: " + cause.Error()
-	default:
-		reason = "interrupted"
 	}
 	_ = q.journal.Seal(reason)
 	_ = q.journal.Close()

@@ -17,7 +17,7 @@
 //     engine the service builds: a question some earlier query already
 //     paid for is served from the store and never posted again.
 //
-// Each submitted query gets its own engine — fresh ledger, cache, and
+// Each submitted query gets its own engine — fresh ledger and
 // options — sharing the service-wide catalog, task library, answer
 // store, and backend mux. Results stream: rows are appended to the
 // query as the executor yields batches, and any number of subscribers
@@ -38,7 +38,6 @@ import (
 	"qurk/internal/crowd"
 	"qurk/internal/exec"
 	"qurk/internal/plan"
-	"qurk/internal/query"
 	"qurk/internal/relation"
 	"qurk/internal/wal"
 )
@@ -437,24 +436,11 @@ func (s *Service) newEngine(gate *BudgetGate, opts core.Options) *core.Engine {
 
 // admit parses and cost-estimates the query against the tenant's
 // remaining budget. Parse and plan errors reject the submission here,
-// synchronously, rather than as a failed background query.
+// synchronously, rather than as a failed background query. The plan is
+// seeded from observed history, so a second submission of a workload
+// the stats store has seen gets a truer budget estimate.
 func (s *Service) admit(eng *core.Engine, tenant *Tenant, src string) error {
-	stmt, err := query.ParseQuery(src)
-	if err != nil {
-		return err
-	}
-	node, err := plan.Build(stmt, eng.Library)
-	if err != nil {
-		return err
-	}
-	po := plan.OptimizeOptionsFrom(eng.Options, 0)
-	if eng.ObStats != nil {
-		// Seed the admission-time plan from observed history: a second
-		// submission of a workload the store has seen picks the better
-		// interface (and a truer budget estimate) before running.
-		po.Stats = eng.ObStats
-	}
-	cp, err := plan.Optimize(node, eng.Catalog, po)
+	cp, err := plan.OptimizeQuery(eng, src, 0)
 	if err != nil {
 		return err
 	}
@@ -462,15 +448,21 @@ func (s *Service) admit(eng *core.Engine, tenant *Tenant, src string) error {
 }
 
 // run executes the query, streaming rows into the record, then seals
-// the journal according to the terminal state.
+// the journal according to the terminal state. It builds a fresh plan
+// tree: the one admission optimized carries the optimizer's physical
+// choices, and running it would change which HITs post.
 func (q *Query) run(ctx context.Context) {
 	defer q.svc.wg.Done()
 	q.transition(StateRunning, nil, nil)
-	out, st, err := exec.RunQueryStreamContext(ctx, q.engine, q.Src, func(ts []relation.Tuple, _ float64) error {
-		q.appendRows(ts)
-		return nil
-	})
-	var final State
+	var out *relation.Relation
+	var st *exec.Stats
+	node, err := plan.BuildQuery(q.Src, q.engine.Library)
+	if err == nil {
+		out, st, err = exec.RunPlanStreamContext(ctx, q.engine, node, func(ts []relation.Tuple, _ float64) error {
+			q.appendRows(ts)
+			return nil
+		})
+	}
 	switch {
 	case err == nil:
 		q.mu.Lock()
@@ -478,7 +470,6 @@ func (q *Query) run(ctx context.Context) {
 			q.schema = out.Schema()
 		}
 		q.mu.Unlock()
-		final = StateDone
 		q.transition(StateDone, st, nil)
 	case ctx.Err() != nil:
 		cause := context.Cause(ctx)
@@ -486,18 +477,15 @@ func (q *Query) run(ctx context.Context) {
 			// A blown deadline is a failure of this one query, not a
 			// cancellation: the journal seals "interrupted" and Recover
 			// resumes it on the next boot.
-			final = StateFailed
 			q.transition(StateFailed, st, cause)
 		} else {
-			final = StateCancelled
 			q.transition(StateCancelled, st, cause)
 		}
 		err = cause
 	default:
-		final = StateFailed
 		q.transition(StateFailed, st, err)
 	}
-	q.sealJournal(final, err)
+	q.sealJournal(err)
 }
 
 func (q *Query) appendRows(ts []relation.Tuple) {
@@ -566,20 +554,14 @@ func (q *Query) Snapshot() Snapshot {
 	return sn
 }
 
-// ledgerDollars reads the query's own entries out of the tenant
-// ledger; callers hold q.mu (the ledger has its own lock).
+// ledgerDollars reads the query's own spend from the tenant ledger;
+// callers hold q.mu (the ledger has its own lock).
 func (q *Query) ledgerDollars() float64 {
 	t := q.svc.tenants.Get(q.TenantID)
 	if t == nil {
 		return 0
 	}
-	var d float64
-	for _, e := range t.Ledger.Entries() {
-		if e.Label == q.ID {
-			d += e.Dollars()
-		}
-	}
-	return d
+	return t.Ledger.LabelDollars(q.ID)
 }
 
 // Stats returns the run's exec stats once terminal (nil before).

@@ -26,6 +26,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"os"
 	"sync"
 
@@ -46,6 +48,32 @@ const (
 // SealComplete is the seal reason written when a durable run finishes
 // normally; any other reason marks an interrupted-but-clean shutdown.
 const SealComplete = "complete"
+
+// SealReason maps how a durable run ended to its journal's seal reason:
+// SealComplete for a run that finished (err nil), "interrupted: …" for
+// one that stopped early and stays resumable.
+func SealReason(err error) string {
+	if err == nil {
+		return SealComplete
+	}
+	return "interrupted: " + err.Error()
+}
+
+// Fingerprint hashes what must match for a journal to be replayable
+// into a run: the query text, the engine options as JSON (they fix
+// batch sizes, seeds, and retry budgets, all of which shape HIT
+// identity), and the backend name, each separated by a zero byte.
+func Fingerprint(src string, opts any, backend string) uint64 {
+	h := fnv.New64a()
+	io.WriteString(h, src)
+	h.Write([]byte{0})
+	if b, err := json.Marshal(opts); err == nil {
+		h.Write(b)
+	}
+	h.Write([]byte{0})
+	io.WriteString(h, backend)
+	return h.Sum64()
+}
 
 // Meta identifies the query a journal belongs to. Resume refuses a
 // journal whose fingerprint does not match the query and engine

@@ -5,6 +5,7 @@ package qurk
 // cmd/bench -compare gate covers planning-time regressions.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -90,7 +91,7 @@ func BenchmarkOptimizedQueryRun(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		_, stats, err := RunPlan(eng, cp.Root)
+		_, stats, err := RunPlan(context.Background(), eng, cp.Root, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func TestExplainEstVsActual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := RunPlan(eng, cp.Root)
+	_, stats, err := RunPlan(context.Background(), eng, cp.Root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,10 +31,8 @@ package qurk
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"qurk/internal/adaptive"
 	"qurk/internal/combine"
@@ -135,8 +133,6 @@ type (
 	// complete, so callers can overlap vote aggregation with HITs
 	// still in flight.
 	StreamMarketplace = crowd.StreamMarketplace
-	// MarketAsync is the outcome RunAsync delivers.
-	MarketAsync = crowd.Async
 	// SimMarket is the parallel deterministic marketplace simulator.
 	SimMarket = crowd.SimMarket
 	// MarketConfig parametrizes the simulator.
@@ -156,9 +152,6 @@ var (
 	NewSimMarket = crowd.NewSimMarket
 	// DefaultMarketConfig returns the calibrated simulator defaults.
 	DefaultMarketConfig = crowd.DefaultConfig
-	// StreamRun posts a group and feeds per-HIT results to a callback
-	// as they complete, on any Marketplace.
-	StreamRun = crowd.Stream
 )
 
 // --- Live MTurk backend (internal/mturk) ---
@@ -253,10 +246,11 @@ const (
 var (
 	// NewEngine creates an engine over a marketplace.
 	NewEngine = core.NewEngine
-	// RunPlan executes an already-built plan tree.
-	RunPlan = exec.RunPlan
-	// RunPlanContext is RunPlan with cooperative cancellation.
-	RunPlanContext = exec.RunPlanContext
+	// RunPlan executes a built plan tree (BuildPlan's, or the Root of
+	// Optimize's CostedPlan) with cooperative cancellation, delivering
+	// result batches to sink (nil for none) as the executor produces
+	// them; the materialized relation is still returned.
+	RunPlan = exec.RunPlanStreamContext
 	// CompilePlan builds the streaming operator tree without executing
 	// it; DescribePipeline renders it with pipeline breakers marked.
 	CompilePlan = exec.Compile
@@ -277,11 +271,6 @@ var (
 	// ExplainPlan renders a plan tree (logical only; Explain adds the
 	// optimizer's costed choices).
 	ExplainPlan = plan.Explain
-	// OptimizePlan runs cost-based operator selection over a built plan
-	// tree with explicit cardinalities and options.
-	OptimizePlan = plan.Optimize
-	// OptimizeOptionsFrom seeds optimizer options from engine options.
-	OptimizeOptionsFrom = plan.OptimizeOptionsFrom
 )
 
 // Cost-based optimizer types (paper §2.6's minimize-HITs objective over
@@ -291,12 +280,6 @@ type (
 	CostedPlan = plan.CostedPlan
 	// OpCost is one crowd operator's costed choice.
 	OpCost = plan.OpCost
-	// OptimizeOptions parametrizes the optimizer pass.
-	OptimizeOptions = plan.OptimizeOptions
-	// CardSource supplies base-table cardinalities (Catalog implements it).
-	CardSource = plan.CardSource
-	// CardMap is a literal CardSource.
-	CardMap = plan.CardMap
 	// JoinPhys, SortPhys, and BatchPhys are per-node physical choices.
 	JoinPhys  = plan.JoinPhys
 	SortPhys  = plan.SortPhys
@@ -357,26 +340,12 @@ func Explain(e *Engine, src string, opts ...ExplainOptions) (string, error) {
 }
 
 // Optimize parses and plans a query, then runs the cost-based operator
-// selection pass against the engine's catalog cardinalities: the
-// returned CostedPlan's Root carries the chosen physical interfaces
-// and executes them via RunPlan. budgetDollars 0 means unconstrained.
+// selection pass against the engine's catalog cardinalities, seeded
+// from its observed-statistics history: the returned CostedPlan's Root
+// carries the chosen physical interfaces and executes them via
+// RunPlan. budgetDollars 0 means unconstrained.
 func Optimize(e *Engine, src string, budgetDollars float64) (*CostedPlan, error) {
-	stmt, err := query.ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	node, err := plan.Build(stmt, e.Library)
-	if err != nil {
-		return nil, err
-	}
-	po := plan.OptimizeOptionsFrom(e.Options, budgetDollars)
-	if e.ObStats != nil {
-		// Seed estimates from observed history: the engine's stats store
-		// supplies weighted means of past runs' measured selectivities,
-		// pass fractions, and group sizes, blended with the priors.
-		po.Stats = e.ObStats
-	}
-	return plan.Optimize(node, e.Catalog, po)
+	return plan.OptimizeQuery(e, src, budgetDollars)
 }
 
 // --- Direct operator access (paper §3 and §4) ---
@@ -390,9 +359,6 @@ type (
 	JoinResult = join.Result
 	// JoinPair is one candidate pair.
 	JoinPair = join.Pair
-	// JoinPairSeq streams candidate pairs into HIT batching without
-	// materializing the cross product.
-	JoinPairSeq = join.PairSeq
 	// JoinMatch is one accepted pair with confidence.
 	JoinMatch = join.Match
 	// Feature is one POSSIBLY feature filter.
@@ -405,8 +371,6 @@ type (
 	SelectionConfig = join.SelectionConfig
 	// FeatureVerdict explains one feature's selection decision.
 	FeatureVerdict = join.FeatureVerdict
-	// FilteredJoinResult is a filtered join with extraction costs.
-	FilteredJoinResult = join.FilteredResult
 	// CompareOptions configures a comparison sort.
 	CompareOptions = sortop.CompareOptions
 	// RateOptions configures a rating sort.
@@ -423,8 +387,6 @@ type (
 	HybridResult = sortop.HybridResult
 	// WindowStrategy selects the hybrid window scheme.
 	WindowStrategy = sortop.WindowStrategy
-	// FilterOptions configures a crowd filter pass.
-	FilterOptions = core.FilterOptions
 	// Combiner merges multiple worker votes.
 	Combiner = combine.Combiner
 	// MajorityVote is the paper's default combiner.
@@ -450,24 +412,14 @@ const (
 var (
 	// RunJoin executes a crowd join over explicit candidate pairs.
 	RunJoin = join.Run
-	// RunJoinSeq executes a crowd join over streamed candidates.
-	RunJoinSeq = join.RunSeq
 	// RunCrossJoin joins the full cross product.
 	RunCrossJoin = join.RunCross
-	// RunFilteredJoin extracts features and joins the survivors.
-	RunFilteredJoin = join.RunFiltered
 	// ExtractFeatures runs the feature-extraction linear pass.
 	ExtractFeatures = join.Extract
-	// ExtractFeaturesBoth runs both sides' passes concurrently.
-	ExtractFeaturesBoth = join.ExtractBoth
 	// ChooseFeatures applies the paper's three feature-pruning rules.
 	ChooseFeatures = join.ChooseFeatures
 	// FilteredPairs prunes a cross product to feature-compatible pairs.
 	FilteredPairs = join.FilteredPairs
-	// FilteredPairSeq streams feature-compatible pairs.
-	FilteredPairSeq = join.FilteredSeq
-	// CrossPairSeq streams the full cross product.
-	CrossPairSeq = join.CrossSeq
 	// Compare runs the comparison-based sort.
 	Compare = sortop.Compare
 	// Rate runs the rating-based sort.
@@ -476,12 +428,6 @@ var (
 	Hybrid = sortop.Hybrid
 	// Max runs the MAX/MIN tournament.
 	Max = sortop.Max
-	// TopK sorts and keeps the K greatest items.
-	TopK = sortop.TopK
-	// RunFilter executes a crowd filter over a relation.
-	RunFilter = core.RunFilter
-	// RunGenerative executes a generative task over a relation.
-	RunGenerative = core.RunGenerative
 	// NewQualityAdjust builds a configured QA combiner.
 	NewQualityAdjust = combine.NewQualityAdjust
 	// DefaultQAConfig is the paper's QA parametrization.
@@ -574,117 +520,66 @@ func DollarCost(hits, assignmentsPerHIT int) float64 {
 
 // --- Durable runs and crash recovery (internal/wal) ---
 
-type (
-	// Journal is the append-only, fsync-on-commit write-ahead journal a
-	// durable run records marketplace traffic and breaker checkpoints
-	// into; Client.Resume replays it after a crash.
-	Journal = wal.Journal
-	// JournalMeta identifies the query a journal belongs to; Resume
-	// refuses a journal whose fingerprint does not match.
-	JournalMeta = wal.Meta
-	// DurableMarket is the journaling Marketplace wrapper durable runs
-	// post through: intent record before each group, result record
-	// after, replay-from-disk on resume.
-	DurableMarket = wal.Market
-)
+// ErrJournalDiverged reports that a resumed run recomputed breaker
+// state that no longer matches the journal.
+var ErrJournalDiverged = wal.ErrDiverged
 
-var (
-	// CreateJournal starts a fresh journal file (fails if it exists).
-	CreateJournal = wal.Create
-	// OpenJournal opens an existing journal, truncating any torn tail
-	// record left by a crash mid-write.
-	OpenJournal = wal.Open
-	// NewDurableMarket wraps a marketplace so every group posted
-	// through it is journaled (and replayed on resume).
-	NewDurableMarket = wal.NewMarket
-	// ErrJournalDiverged reports that a resumed run recomputed breaker
-	// state that no longer matches the journal.
-	ErrJournalDiverged = wal.ErrDiverged
-)
-
-// runDurable starts a fresh journal at journalPath (which must not
-// exist yet) and runs src through it: every marketplace interaction
-// and breaker checkpoint is recorded, so a run that crashes or is
-// cancelled partway through resumes with zero duplicate HIT posting.
-// On success the journal is sealed "complete"; on error it is sealed
-// with the reason and remains resumable. It is the body behind
-// Client.Run with WithJournal.
-func runDurable(ctx context.Context, e *Engine, src, journalPath string) (*Relation, *ExecStats, error) {
-	j, err := wal.Create(journalPath, journalMeta(e, src))
+// execQuery parses, plans, and executes src on e, delivering result
+// batches to sink (nil for none).
+func execQuery(ctx context.Context, e *Engine, src string, sink StreamSink) (*Relation, *ExecStats, error) {
+	node, err := plan.BuildQuery(src, e.Library)
 	if err != nil {
 		return nil, nil, err
 	}
-	return runJournaled(ctx, e, src, j)
+	return exec.RunPlanStreamContext(ctx, e, node, sink)
 }
 
-// journalMeta identifies a run for its journal header.
-func journalMeta(e *Engine, src string) JournalMeta {
-	return JournalMeta{
-		Query:       src,
-		Backend:     fmt.Sprintf("%T", e.Market),
-		Fingerprint: queryFingerprint(e, src),
+// runJournaled runs src durably through the journal at path: every
+// marketplace interaction and breaker checkpoint is recorded, so a run
+// that crashes or is cancelled partway through resumes with zero
+// duplicate HIT posting. A fresh run creates the journal (path must
+// not exist yet). With resume set it reopens the journal instead,
+// refuses one written by a different query or engine configuration,
+// replays recorded group results from disk, verifies breaker
+// checkpoints (ErrJournalDiverged on mismatch), and continues live
+// from the last consistent frontier. The journal is sealed by
+// wal.SealReason's rule and stays resumable after an error. The run
+// uses a shallow engine copy whose marketplace is wrapped with the
+// journal; the copy shares the caller's ledger and stores, so
+// accounting lands where it always does.
+func runJournaled(ctx context.Context, e *Engine, src, path string, resume bool, sink StreamSink) (*Relation, *ExecStats, error) {
+	backend := fmt.Sprintf("%T", e.Market)
+	fp := wal.Fingerprint(src, e.Options, backend)
+	var j *wal.Journal
+	var err error
+	if resume {
+		j, err = wal.Open(path)
+		if err == nil && j.Meta().Fingerprint != fp {
+			got := j.Meta().Fingerprint
+			j.Close()
+			return nil, nil, fmt.Errorf("qurk: journal %s was written by a different query or engine configuration (fingerprint %#x, want %#x)", path, got, fp)
+		}
+	} else {
+		j, err = wal.Create(path, wal.Meta{Query: src, Backend: backend, Fingerprint: fp})
 	}
-}
-
-// resumeJournal reopens journalPath, verifies its fingerprint, and
-// re-runs src through it (the body behind Client.Resume): recorded
-// group results replay from disk without touching the marketplace,
-// breaker checkpoints are verified (ErrJournalDiverged on mismatch),
-// and execution continues live from the last consistent frontier.
-func resumeJournal(ctx context.Context, e *Engine, src, journalPath string) (*Relation, *ExecStats, error) {
-	j, err := wal.Open(journalPath)
 	if err != nil {
 		return nil, nil, err
 	}
-	if got, want := j.Meta().Fingerprint, queryFingerprint(e, src); got != want {
-		j.Close()
-		return nil, nil, fmt.Errorf("qurk: journal %s was written by a different query or engine configuration (fingerprint %#x, want %#x)", journalPath, got, want)
-	}
-	return runJournaled(ctx, e, src, j)
-}
-
-// runJournaled runs src on a shallow engine copy whose marketplace is
-// wrapped with the journal; the copy shares the caller's ledger and
-// cache so accounting lands where it always does.
-func runJournaled(ctx context.Context, e *Engine, src string, j *wal.Journal) (*Relation, *ExecStats, error) {
-	return runJournaledStream(ctx, e, src, j, nil)
-}
-
-// runJournaledStream is runJournaled with incremental delivery through
-// sink (nil for none); Client.RunStream uses it for durable streaming
-// runs.
-func runJournaledStream(ctx context.Context, e *Engine, src string, j *wal.Journal, sink StreamSink) (*Relation, *ExecStats, error) {
 	defer j.Close()
 	e2 := *e
 	e2.Market = wal.NewMarket(e.Market, j)
 	e2.Journal = j
-	out, st, err := exec.RunQueryStreamContext(ctx, &e2, src, sink)
-	if err != nil {
-		// Best effort: the journal is already consistent record by
-		// record; the seal only annotates why the run stopped.
-		_ = j.Seal("interrupted: " + err.Error())
-		return nil, st, err
-	}
-	if serr := j.Seal(wal.SealComplete); serr != nil {
+	out, st, err := execQuery(ctx, &e2, src, sink)
+	// A failed seal matters only after a clean run: an interrupted
+	// journal is already consistent record by record, and the seal only
+	// annotates why the run stopped.
+	if serr := j.Seal(wal.SealReason(err)); err == nil && serr != nil {
 		return out, st, serr
 	}
-	return out, st, nil
-}
-
-// queryFingerprint hashes everything that must match for a journal to
-// be replayable into a run: the query text, the engine options (which
-// fix batch sizes, seeds, and retry budgets — all of which shape HIT
-// identity), and the backend's concrete type.
-func queryFingerprint(e *Engine, src string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(src))
-	h.Write([]byte{0})
-	if b, err := json.Marshal(e.Options); err == nil {
-		h.Write(b)
+	if err != nil {
+		return nil, st, err
 	}
-	h.Write([]byte{0})
-	h.Write([]byte(fmt.Sprintf("%T", e.Market)))
-	return h.Sum64()
+	return out, st, nil
 }
 
 // --- Adaptive mechanisms (paper §6 future work, implemented) ---
@@ -710,9 +605,6 @@ var (
 	// RunAdaptiveFilter spends votes only where the posterior is
 	// uncertain (§2.1, §6).
 	RunAdaptiveFilter = adaptive.RunAdaptiveFilter
-	// RunAdaptiveFilterContext stops posting further probe rounds once
-	// ctx is done (the adaptive filter is a pipeline breaker).
-	RunAdaptiveFilterContext = adaptive.RunAdaptiveFilterContext
 	// PosteriorMajority is P(majority answer | votes) under a uniform
 	// prior.
 	PosteriorMajority = adaptive.PosteriorMajority
