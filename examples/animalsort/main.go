@@ -28,7 +28,7 @@ func main() {
 		// Comparison-based sort: quadratic HITs, best accuracy.
 		m1 := qurk.NewSimMarket(qurk.DefaultMarketConfig(int64(20+qi)), animals.Oracle())
 		cmp, err := qurk.Compare(animals.Rel, q.task,
-			qurk.CompareOptions{GroupSize: 5, Assignments: 5, Seed: 1}, m1)
+			qurk.CompareOptions{GroupSize: 5, Assignments: 5}, m1)
 		if err != nil {
 			log.Fatal(err)
 		}

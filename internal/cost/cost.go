@@ -47,6 +47,10 @@ type Ledger struct {
 	// byLabel is each label's running dollar total, summed in Add order
 	// so it equals a fresh sum over that label's entries bit for bit.
 	byLabel map[string]float64
+	// total is the whole ledger's running dollar total, summed in Add
+	// order like byLabel, so charging against it stays O(1) however
+	// long the ledger grows.
+	total float64
 }
 
 // NewLedger returns an empty ledger.
@@ -62,6 +66,7 @@ func (l *Ledger) Add(label string, hits, assignmentsPerHIT int) {
 		l.byLabel = map[string]float64{}
 	}
 	l.byLabel[label] += e.Dollars()
+	l.total += e.Dollars()
 }
 
 // LabelDollars is the dollar cost of the entries recorded under label,
@@ -92,15 +97,11 @@ func (l *Ledger) TotalHITs() int {
 	return n
 }
 
-// TotalDollars sums dollar cost across entries.
+// TotalDollars is the dollar cost across entries, read in O(1).
 func (l *Ledger) TotalDollars() float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var d float64
-	for _, e := range l.entries {
-		d += e.Dollars()
-	}
-	return d
+	return l.total
 }
 
 // Report renders a line-itemed cost table.

@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -56,6 +57,26 @@ func TestLabelDollarsMatchesEntries(t *testing.T) {
 		}
 		if got := l.LabelDollars(label); got != want {
 			t.Errorf("LabelDollars(%q) = %v, want %v", label, got, want)
+		}
+	}
+}
+
+// TestTotalDollarsMatchesEntries checks the running total is
+// bit-identical to summing every entry in Add order, over random
+// ledgers whose non-associative float sums would expose a reordering.
+func TestTotalDollarsMatchesEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		l := NewLedger()
+		for i, n := 0, rng.Intn(300); i < n; i++ {
+			l.Add(string(rune('a'+rng.Intn(4))), rng.Intn(1000), 1+rng.Intn(9))
+		}
+		var want float64
+		for _, e := range l.Entries() {
+			want += e.Dollars()
+		}
+		if got := l.TotalDollars(); got != want {
+			t.Fatalf("trial %d: TotalDollars = %v, in-order sum = %v", trial, got, want)
 		}
 	}
 }

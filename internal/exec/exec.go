@@ -777,7 +777,6 @@ func (x *executor) crowdSort(ctx context.Context, sub *relation.Relation, n *pla
 			GroupSize:   sp.GroupSize,
 			Assignments: sp.Assignments,
 			GroupID:     gid,
-			Seed:        opts.Seed,
 		})
 		if err != nil {
 			return nil, 0, err

@@ -318,7 +318,7 @@ func (o *crowdOrderByOp) replanGroup(sub *relation.Relation, path string) (plan.
 	// approximation beyond that (matching the optimizer's own split).
 	compareHITs := cost.CompareSortHITs(n, s)
 	if n <= 120 {
-		compareHITs = len(sortop.CoverGroups(n, s, nil))
+		compareHITs = len(sortop.CoverGroups(n, s))
 	}
 	rateBatch := phys.RateBatch
 	if rateBatch <= 0 {

@@ -157,7 +157,7 @@ func Table5(cfg Config) (*Table5Result, error) {
 		}
 		m := crowd.NewSimMarket(cfg.trialMarketConfig(0), mv.Oracle())
 		cr, err := sortop.Compare(rel, dataset.QualityTask(), sortop.CompareOptions{
-			GroupSize: 5, Assignments: 5, Seed: cfg.Seed, GroupID: "t5/cmp/" + name,
+			GroupSize: 5, Assignments: 5, GroupID: "t5/cmp/" + name,
 		}, m)
 		if err != nil {
 			return nil, err

@@ -43,7 +43,7 @@ func Figure7(cfg Config) (*Figure7Result, error) {
 	// Endpoints.
 	m := crowd.NewSimMarket(cfg.trialMarketConfig(0), sq.Oracle())
 	cr, err := sortop.Compare(sq.Rel, dataset.SquareSorterTask(), sortop.CompareOptions{
-		GroupSize: 5, Assignments: 5, Seed: cfg.Seed, GroupID: "f7/cmp",
+		GroupSize: 5, Assignments: 5, GroupID: "f7/cmp",
 	}, m)
 	if err != nil {
 		return nil, err

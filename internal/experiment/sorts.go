@@ -51,7 +51,7 @@ func SquareCompareBatching(cfg Config) (*CompareBatchingResult, error) {
 	for _, s := range []int{5, 10, 20} {
 		m := crowd.NewSimMarket(cfg.trialMarketConfig(0), sq.Oracle())
 		cr, err := sortop.Compare(sq.Rel, dataset.SquareSorterTask(), sortop.CompareOptions{
-			GroupSize: s, Assignments: 5, Seed: cfg.Seed, GroupID: fmt.Sprintf("cmp%d", s),
+			GroupSize: s, Assignments: 5, GroupID: fmt.Sprintf("cmp%d", s),
 		}, m)
 		if err != nil {
 			return nil, err
@@ -215,7 +215,7 @@ func (r *RateGranularityResult) Render() string {
 func runCompareAndRate(cfg Config, rel *relation.Relation, rt rankTask, oracle crowd.Oracle, label string) (*sortop.CompareResult, *sortop.RateResult, error) {
 	m1 := crowd.NewSimMarket(cfg.trialMarketConfig(0), oracle)
 	cr, err := sortop.Compare(rel, rt.task, sortop.CompareOptions{
-		GroupSize: 5, Assignments: 5, Seed: cfg.Seed, GroupID: label + "/cmp",
+		GroupSize: 5, Assignments: 5, GroupID: label + "/cmp",
 	}, m1)
 	if err != nil {
 		return nil, nil, err

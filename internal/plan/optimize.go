@@ -668,7 +668,7 @@ const exactCoverLimit = 120
 // n(n−1)/(S(S−1)) bound beyond exactCoverLimit.
 func compareCoverHITs(n, s int) int {
 	if n <= exactCoverLimit {
-		return len(sortop.CoverGroups(n, s, nil))
+		return len(sortop.CoverGroups(n, s))
 	}
 	return cost.CompareSortHITs(n, s)
 }

@@ -55,6 +55,10 @@ func TestSchemaQualifyAndSuffixLookup(t *testing.T) {
 	if s.Ordinal("c.img") != 1 {
 		t.Error("qualified lookup failed")
 	}
+	// Another alias's column is not a match.
+	if got := s.Ordinal("x.img"); got != -1 {
+		t.Errorf("mismatched alias lookup = %d, want -1", got)
+	}
 	// Re-qualifying strips the old alias.
 	s2 := s.Qualify("d")
 	if s2.Column(0).Name != "d.name" {

@@ -18,6 +18,11 @@ type Column struct {
 type Schema struct {
 	cols  []Column
 	index map[string]int
+	// suffix maps the part after the last dot of each qualified name to
+	// its ordinal, or to -1 when two qualified names share it. It is nil
+	// when no name is qualified. It stays apart from index so that a
+	// qualified lookup ("x.img") never matches another alias ("c.img").
+	suffix map[string]int
 }
 
 // NewSchema builds a schema from columns. Column names must be unique
@@ -37,6 +42,17 @@ func NewSchema(cols ...Column) (*Schema, error) {
 			return nil, fmt.Errorf("relation: duplicate column %q", c.Name)
 		}
 		s.index[key] = i
+		if dot := strings.LastIndexByte(key, '.'); dot >= 0 {
+			if s.suffix == nil {
+				s.suffix = make(map[string]int, len(cols))
+			}
+			suf := key[dot+1:]
+			if _, seen := s.suffix[suf]; seen {
+				s.suffix[suf] = -1
+			} else {
+				s.suffix[suf] = i
+			}
+		}
 	}
 	return s, nil
 }
@@ -76,17 +92,8 @@ func (s *Schema) Ordinal(name string) int {
 		if i, ok := s.index[key[dot+1:]]; ok {
 			return i
 		}
-	} else {
-		match := -1
-		for stored, i := range s.index {
-			if strings.HasSuffix(stored, "."+key) {
-				if match >= 0 {
-					return -1 // ambiguous
-				}
-				match = i
-			}
-		}
-		return match
+	} else if i, ok := s.suffix[key]; ok {
+		return i // -1 when ambiguous
 	}
 	return -1
 }

@@ -7,7 +7,6 @@ package sortop
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"qurk/internal/crowd"
@@ -28,8 +27,6 @@ type CompareOptions struct {
 	Assignments int
 	// GroupID labels the HIT group.
 	GroupID string
-	// Seed drives group-cover generation.
-	Seed int64
 }
 
 func (o *CompareOptions) fillDefaults() {
@@ -81,10 +78,16 @@ type CompareResult struct {
 // pair appears in at least one group, greedily maximizing fresh pairs
 // per group (the paper's batch generator "may generate overlapping
 // groups", §4.2.2). The group count approaches n(n−1)/(s(s−1)).
-// Generation is fully deterministic; the rng parameter is reserved for
-// future randomized covers and is currently unused.
-func CoverGroups(n, s int, rng *rand.Rand) [][]int {
-	_ = rng
+//
+// Each group is seeded with the lexicographically first uncovered pair
+// and grown by the candidate sharing the most uncovered pairs with it
+// (the lowest index on ties), so the cover is a pure function of (n, s).
+// The bookkeeping is dense: a symmetric n×n uncovered matrix and a
+// per-candidate fresh-pair count, updated in O(n) as each item joins.
+// Coverage changes only once a group is complete, so the counts stay
+// exact. A group costs O(s·n); the whole cover O(n³/s) time and O(n²)
+// space.
+func CoverGroups(n, s int) [][]int {
 	if s >= n {
 		g := make([]int, n)
 		for i := range g {
@@ -92,59 +95,60 @@ func CoverGroups(n, s int, rng *rand.Rand) [][]int {
 		}
 		return [][]int{g}
 	}
-	uncovered := make(map[[2]int]bool, n*(n-1)/2)
-	// allPairs holds every pair in lexicographic order; the seed pointer
-	// scans it so group generation is fully deterministic (map iteration
-	// order must never leak into the cover).
-	allPairs := make([][2]int, 0, n*(n-1)/2)
+	uncovered := make([]bool, n*n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			uncovered[[2]int{i, j}] = true
-			allPairs = append(allPairs, [2]int{i, j})
+			uncovered[i*n+j] = true
+			uncovered[j*n+i] = true
 		}
 	}
+	remaining := n * (n - 1) / 2
+	fresh := make([]int, n) // uncovered pairs each candidate shares with the group
+	inGroup := make([]bool, n)
 	var groups [][]int
-	seedPtr := 0
-	for len(uncovered) > 0 {
-		// Seed with the first still-uncovered pair.
-		for seedPtr < len(allPairs) && !uncovered[allPairs[seedPtr]] {
-			seedPtr++
+	si, sj := 0, 1 // seed cursor: pairs before it are all covered
+	join := func(group []int, x int) []int {
+		inGroup[x] = true
+		row := uncovered[x*n : x*n+n]
+		for c, u := range row {
+			if u {
+				fresh[c]++
+			}
 		}
-		if seedPtr >= len(allPairs) {
-			break
+		return append(group, x)
+	}
+	for remaining > 0 {
+		for !uncovered[si*n+sj] {
+			if sj++; sj == n {
+				si++
+				sj = si + 1
+			}
 		}
-		seed := allPairs[seedPtr]
-		group := []int{seed[0], seed[1]}
-		inGroup := map[int]bool{seed[0]: true, seed[1]: true}
+		group := make([]int, 0, max(s, 2))
+		group = join(group, si)
+		group = join(group, sj)
 		for len(group) < s {
-			// Add the item covering the most uncovered pairs with the
-			// current group.
 			bestItem, bestCover := -1, -1
-			for cand := 0; cand < n; cand++ {
-				if inGroup[cand] {
-					continue
-				}
-				cover := 0
-				for _, g := range group {
-					if uncovered[pairKey(cand, g)] {
-						cover++
-					}
-				}
-				if cover > bestCover {
+			for cand, cover := range fresh {
+				if !inGroup[cand] && cover > bestCover {
 					bestItem, bestCover = cand, cover
 				}
 			}
-			if bestItem < 0 {
-				break
-			}
-			group = append(group, bestItem)
-			inGroup[bestItem] = true
+			group = join(group, bestItem)
 		}
-		for i := 0; i < len(group); i++ {
-			for j := i + 1; j < len(group); j++ {
-				delete(uncovered, pairKey(group[i], group[j]))
+		for a, x := range group {
+			for _, y := range group[a+1:] {
+				if uncovered[x*n+y] {
+					uncovered[x*n+y] = false
+					uncovered[y*n+x] = false
+					remaining--
+				}
 			}
 		}
+		for _, x := range group {
+			inGroup[x] = false
+		}
+		clear(fresh)
 		sort.Ints(group)
 		groups = append(groups, group)
 	}
@@ -183,8 +187,7 @@ func BuildCompare(items *relation.Relation, rt *task.Rank, opts CompareOptions) 
 	if n < 2 {
 		return nil, nil, fmt.Errorf("sortop: need ≥2 items to sort, got %d", n)
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	groups := CoverGroups(n, opts.GroupSize, rng)
+	groups := CoverGroups(n, opts.GroupSize)
 	questions := make([]hit.Question, len(groups))
 	for gi, g := range groups {
 		q := hit.Question{
@@ -353,36 +356,35 @@ func (r *CompareResult) finalize(n int) {
 
 // countCycles counts directed triangles in the pairwise-majority graph —
 // evidence of the non-transitivity that rules out Quicksort-style
-// algorithms (paper §4.1.1).
+// algorithms (paper §4.1.1). The majority relation is laid out once as
+// an n×n matrix; each triangle is counted once, from its lowest item.
 func (r *CompareResult) countCycles(n int) int {
-	beats := func(a, b int) bool {
-		k := pairKey(a, b)
-		pv := r.Pairs[k]
-		if pv == nil {
-			return false
+	beats := make([]bool, n*n) // beats[a*n+b]: a won the a-vs-b majority
+	for k, pv := range r.Pairs {
+		i, j := k[0], k[1]
+		switch {
+		case pv.IOverJ > pv.JOverI:
+			beats[i*n+j] = true
+		case pv.JOverI > pv.IOverJ:
+			beats[j*n+i] = true
 		}
-		if a == k[0] {
-			return pv.IOverJ > pv.JOverI
-		}
-		return pv.JOverI > pv.IOverJ
 	}
 	count := 0
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j || !beats(i, j) {
+		row := beats[i*n : i*n+n]
+		for j := i + 1; j < n; j++ {
+			if !row[j] {
 				continue
 			}
-			for k := 0; k < n; k++ {
-				if k == i || k == j {
-					continue
-				}
-				if beats(j, k) && beats(k, i) {
+			rj := beats[j*n : j*n+n]
+			for k := i + 1; k < n; k++ {
+				if rj[k] && beats[k*n+i] {
 					count++
 				}
 			}
 		}
 	}
-	return count / 3 // each triangle counted three times
+	return count
 }
 
 // PairMatrix converts pair votes into a rating matrix for the paper's

@@ -2,7 +2,6 @@ package sortop
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"qurk/internal/crowd"
@@ -73,9 +72,8 @@ func tauVsTruth(order []int) float64 {
 }
 
 func TestCoverGroupsCoversAllPairs(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	for _, c := range []struct{ n, s int }{{10, 5}, {40, 5}, {13, 4}, {7, 3}, {5, 5}, {6, 10}} {
-		groups := CoverGroups(c.n, c.s, rng)
+		groups := CoverGroups(c.n, c.s)
 		covered := map[[2]int]bool{}
 		for _, g := range groups {
 			if len(g) > c.s && c.s < c.n {
@@ -105,7 +103,7 @@ func TestCompareSortsSquaresPerfectly(t *testing.T) {
 	// Paper §4.2.2: group size 5 on 40 squares yields τ = 1.0.
 	n := 20 // smaller for test speed; same shape
 	o := &sqOracle{n: n, sigma: 0.005}
-	res, err := Compare(squares(n), rankTask(), CompareOptions{GroupSize: 5, Assignments: 5, Seed: 3}, sqMarket(5, o))
+	res, err := Compare(squares(n), rankTask(), CompareOptions{GroupSize: 5, Assignments: 5}, sqMarket(5, o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +124,7 @@ func TestCompareGroup20Refused(t *testing.T) {
 	// several hours of uncompleted HITs."
 	n := 40
 	o := &sqOracle{n: n, sigma: 0.005}
-	res, err := Compare(squares(n), rankTask(), CompareOptions{GroupSize: 20, Assignments: 5, Seed: 3}, sqMarket(5, o))
+	res, err := Compare(squares(n), rankTask(), CompareOptions{GroupSize: 20, Assignments: 5}, sqMarket(5, o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +165,7 @@ func TestCompareBeatsRate(t *testing.T) {
 	// Rate on the same data (§4.2.2).
 	n := 30
 	o := &sqOracle{n: n, sigma: 0.03}
-	cmp, err := Compare(squares(n), rankTask(), CompareOptions{GroupSize: 5, Assignments: 5, Seed: 1}, sqMarket(13, o))
+	cmp, err := Compare(squares(n), rankTask(), CompareOptions{GroupSize: 5, Assignments: 5}, sqMarket(13, o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +187,7 @@ func TestModifiedKappaTracksAmbiguity(t *testing.T) {
 	n := 15
 	kappaAt := func(sigma float64, seed int64) float64 {
 		o := &sqOracle{n: n, sigma: sigma}
-		res, err := Compare(squares(n), rankTask(), CompareOptions{GroupSize: 5, Assignments: 5, Seed: 1}, sqMarket(seed, o))
+		res, err := Compare(squares(n), rankTask(), CompareOptions{GroupSize: 5, Assignments: 5}, sqMarket(seed, o))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +214,7 @@ func TestModifiedKappaTracksAmbiguity(t *testing.T) {
 func TestCyclesAppearUnderNoise(t *testing.T) {
 	n := 12
 	o := &sqOracle{n: n, sigma: 1.5}
-	res, err := Compare(squares(n), rankTask(), CompareOptions{GroupSize: 4, Assignments: 5, Seed: 9}, sqMarket(19, o))
+	res, err := Compare(squares(n), rankTask(), CompareOptions{GroupSize: 4, Assignments: 5}, sqMarket(19, o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +223,7 @@ func TestCyclesAppearUnderNoise(t *testing.T) {
 	}
 	// And none under near-zero noise.
 	o2 := &sqOracle{n: n, sigma: 0.002}
-	res2, err := Compare(squares(n), rankTask(), CompareOptions{GroupSize: 4, Assignments: 5, Seed: 9}, sqMarket(19, o2))
+	res2, err := Compare(squares(n), rankTask(), CompareOptions{GroupSize: 4, Assignments: 5}, sqMarket(19, o2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,11 +371,11 @@ func TestCompareBatchGroupsReducesHITs(t *testing.T) {
 	// the number of hits by a factor of b").
 	n := 20
 	o := &sqOracle{n: n, sigma: 0.01}
-	single, err := Compare(squares(n), rankTask(), CompareOptions{GroupSize: 5, BatchGroups: 1, Assignments: 5, Seed: 3}, sqMarket(71, o))
+	single, err := Compare(squares(n), rankTask(), CompareOptions{GroupSize: 5, BatchGroups: 1, Assignments: 5}, sqMarket(71, o))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := Compare(squares(n), rankTask(), CompareOptions{GroupSize: 5, BatchGroups: 3, Assignments: 5, Seed: 3}, sqMarket(71, o))
+	batched, err := Compare(squares(n), rankTask(), CompareOptions{GroupSize: 5, BatchGroups: 3, Assignments: 5}, sqMarket(71, o))
 	if err != nil {
 		t.Fatal(err)
 	}
